@@ -22,6 +22,8 @@ from .model import (
 )
 
 _NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
+# ASCII only: str.isdigit() also passes digits such as "³" that int() rejects.
+_MULT_RE = re.compile(r"[0-9]+\Z")
 
 
 def _split_decimal(token: str) -> tuple[int, str, str]:
@@ -52,7 +54,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(line_no, f"bad decimal literal {fields[0]!r}")
         mult = 1
         if len(fields) == 2:
-            if not fields[1].isdigit() or int(fields[1]) < 1:
+            if not _MULT_RE.match(fields[1]) or int(fields[1]) < 1:
                 raise ParseError(
                     line_no, f"multiplicity must be a positive integer, got {fields[1]!r}"
                 )

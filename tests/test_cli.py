@@ -51,6 +51,15 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["value"] == "7"
 
+    def test_non_ascii_multiplicity_fails_cleanly(self, capsys, monkeypatch):
+        # printf '0\n1 ³\n' | linecut solve --problem max-cut: a typed
+        # error and exit 1, not a ValueError escaping dispatch.
+        monkeypatch.setattr("sys.stdin", io.StringIO("0\n1 ³\n"))
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")
+        assert code == 1
+        assert out == ""
+        assert "multiplicity" in err
+
     def test_odd_bisection_fails_cleanly(self, capsys, instance_file):
         path = instance_file("0\n1\n2\n")
         code, _, err = run_cli(capsys, "solve", "--problem", "min-bisection", "--input", path)

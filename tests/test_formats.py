@@ -62,6 +62,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance("1 2 3\n")
 
+    def test_non_ascii_multiplicity(self):
+        # "³" passes str.isdigit() but not int().
+        with pytest.raises(ParseError) as err:
+            parse_instance("0\n1 \u00b3\n")
+        assert err.value.line_no == 2
+
     def test_too_many_fraction_digits(self):
         parse_instance("0.123456789\n")
         with pytest.raises(PrecisionError):

@@ -2,21 +2,24 @@ from __future__ import annotations
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from linecut.errors import TooLargeForOracle, UnsupportedProblem
+import linecut.oracle as oracle
+from linecut.errors import InternalInconsistency, TooLargeForOracle, UnsupportedProblem
 from linecut.model import (
     Instance,
     Objective,
     ProblemSpec,
     compress,
+    cut_value_naive,
     cut_value_sweep,
 )
 from linecut.oracle import best_threshold, oracle_solve, profile_space
 from linecut.solver import solve
 
-from conftest import compressed_instances
+from conftest import compressed_instances, wide_coords
 
 
 def ci_of(*xs: int):
@@ -41,6 +44,11 @@ class TestOracleSolve:
         with pytest.raises(TooLargeForOracle):
             oracle_solve(ci, ProblemSpec.max_cut(), cap=15)
         oracle_solve(ci, ProblemSpec.max_cut(), cap=16)
+        ci = ci_of(0, 0, 0, 1, 1, 7)  # (3+1) * (2+1) * (1+1) profiles
+        assert profile_space(ci) == 24
+        with pytest.raises(TooLargeForOracle):
+            oracle_solve(ci, ProblemSpec.max_partition(3), cap=23)
+        oracle_solve(ci, ProblemSpec.max_partition(3), cap=24)
 
     def test_min_unconstrained_rejected(self):
         with pytest.raises(UnsupportedProblem):
@@ -66,6 +74,58 @@ class TestOracleSolve:
                 if spec.k is not None and sum(a) != spec.k:
                     continue
                 assert cut_value_sweep(ci, a) != sol.value
+
+
+def reference_solve(ci, spec):
+    """The oracle's definition: every profile of the requested size, scored
+    pairwise; the first optimum in lexicographic order wins."""
+    maximize = spec.objective is Objective.MAX
+    best = best_profile = None
+    for a in itertools.product(*(range(m + 1) for m in ci.mult)):
+        if spec.k is not None and sum(a) != spec.k:
+            continue
+        v = cut_value_naive(ci, a)
+        if best is None or ((v > best) if maximize else (v < best)):
+            best, best_profile = v, a
+    return best, best_profile
+
+
+def assert_matches_reference(ci):
+    for spec in all_specs(ci.n):
+        sol = oracle_solve(ci, spec)
+        assert (sol.value, sol.profile) == reference_solve(ci, spec), spec
+        assert sol.k_actual == sum(sol.profile)
+
+
+class TestOracleAgainstReference:
+    @given(compressed_instances(max_n=8))
+    def test_small_coords(self, ci):
+        assert_matches_reference(ci)
+
+    @given(compressed_instances(max_n=8, coord=st.integers(-3, 3)))
+    def test_duplicate_heavy(self, ci):
+        assert_matches_reference(ci)
+
+    @given(compressed_instances(max_n=8, coord=wide_coords))
+    def test_wide_coords(self, ci):
+        assert_matches_reference(ci)
+
+    def test_winner_rechecked_by_sweep(self, monkeypatch):
+        ci = ci_of(0, 1, 2, 3)
+        monkeypatch.setattr(oracle, "cut_value_sweep", lambda ci, a: -1)
+        with pytest.raises(InternalInconsistency):
+            oracle_solve(ci, ProblemSpec.max_cut())
+
+    def test_one_sweep_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(ci, a):
+            calls.append(a)
+            return cut_value_sweep(ci, a)
+
+        monkeypatch.setattr(oracle, "cut_value_sweep", counting)
+        sol = oracle_solve(ci_of(0, 1, 2, 3, 5, 8), ProblemSpec.min_partition(3))
+        assert calls == [sol.profile]
 
 
 class TestSolveAgainstOracle:
