@@ -7,7 +7,6 @@ from .errors import (
     InvalidK,
     InvalidProfile,
     LinecutError,
-    Overflow,
     ParseError,
     PrecisionError,
     RangeError,
@@ -45,7 +44,6 @@ __all__ = [
     "InvalidProfile",
     "LinecutError",
     "Objective",
-    "Overflow",
     "ParseError",
     "PrecisionError",
     "ProblemSpec",

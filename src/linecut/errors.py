@@ -21,14 +21,6 @@ class UnsupportedProblem(LinecutError):
     """The requested objective/constraint combination is not defined."""
 
 
-class Overflow(LinecutError):
-    """Arithmetic capacity exceeded.
-
-    Defensive only: the coordinate bound plus the big-integer fallback make
-    this unreachable in practice.
-    """
-
-
 class TooLargeForOracle(LinecutError):
     """The profile space exceeds the exhaustive oracle's cap."""
 

@@ -11,19 +11,14 @@ the stored choices.
 
 Total work is ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``, at most on
 the order of ``n^2 * (n + l)``; the bench harness measures the empirical
-exponent.  Values are filled either by a compiled int64 kernel (when a proven
-bound on the largest possible cut value fits 64 bits) or by a big-integer
-reference fill with identical semantics.
+exponent.  Table values are Python integers, so the fill is exact for every
+coordinate span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import _kernel
 from .errors import InternalInconsistency
 from .model import (
     CompressedInstance,
@@ -33,53 +28,6 @@ from .model import (
     complement_profile,
     cut_value_sweep,
 )
-
-# Largest table value the compiled kernel may ever see; instances whose
-# cut-value bound exceeds this use the big-integer fill instead.
-_KERNEL_VALUE_LIMIT = 1 << 62
-
-# Test-only hook: shifts the transition window's lower end by one so the
-# verify harness can demonstrate that it detects a broken recurrence.
-_fault_transition_lo = False
-
-
-@dataclass(frozen=True)
-class DpState:
-    """A subproblem state: level index plus first-set counts (p left, r at the level)."""
-
-    level: int
-    p: int
-    r: int
-
-
-@dataclass
-class DpTables:
-    """Fill results: final-level values plus per-state choices for levels >= 2.
-
-    Earlier levels' values are rolled over during the fill; only the last level
-    is kept, which is all the root scan needs.  Choices come either as one flat
-    int32 array (kernel fill) or as nested lists (reference fill); ``None``
-    means the fill ran in value-only mode.
-    """
-
-    n: int
-    prefix: tuple[int, ...]
-    top: object
-    choices_flat: Optional[np.ndarray] = None
-    offsets: Optional[np.ndarray] = None
-    choice_levels: Optional[dict] = None
-
-    @property
-    def has_choices(self) -> bool:
-        return self.choices_flat is not None or self.choice_levels is not None
-
-    def choice(self, level: int, p: int, r: int) -> int:
-        if self.choices_flat is not None:
-            rowlen = self.n - self.prefix[level - 1] + 1
-            return int(self.choices_flat[int(self.offsets[level]) + p * rowlen + r])
-        if self.choice_levels is not None:
-            return self.choice_levels[level][p][r]
-        raise InternalInconsistency("value-only tables carry no backtracking choices")
 
 
 def gap_term(gap: int, p: int, q: int, r: int, t: int) -> int:
@@ -103,8 +51,6 @@ def transition_bounds(p: int, q: int, m_prev: int) -> tuple[int, int]:
     lo = m_prev - q
     if lo < 0:
         lo = 0
-    if _fault_transition_lo:
-        lo += 1
     hi = p if p < m_prev else m_prev
     return lo, hi
 
@@ -120,7 +66,7 @@ def fill_level(
     prev: list[list[int]],
     objective: Objective,
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Reference fill of one level (>= 2) from the previous level's values.
+    """Fill one level (>= 2) from the previous level's values.
 
     Returns ``(values, choices)`` where ``values[p][r]`` is the optimal cut
     value of the level's subproblem and ``choices[p][r]`` the smallest
@@ -163,63 +109,36 @@ def fill_level(
     return values, choices
 
 
-def _fill_python(ci, objective, want_choices):
-    prev = base_level(ci.n)
-    choice_levels = {} if want_choices else None
+def fill_tables(
+    ci: CompressedInstance, objective: Objective, want_choices: bool
+) -> tuple[list[list[int]], Optional[dict[int, list[list[int]]]]]:
+    """Fill every level bottom-up; return ``(top, choices)``.
+
+    ``top[p][r]`` is the last level's value table; earlier levels are rolled
+    over.  ``choices[level][p][r]`` is the smallest optimizing r0 of each
+    state at levels >= 2, or ``choices`` is ``None`` in value-only mode.
+    """
+    top = base_level(ci.n)
+    choices = {} if want_choices else None
     for level in range(2, ci.l + 1):
-        prev, choices = fill_level(ci, level, prev, objective)
+        top, level_choices = fill_level(ci, level, top, objective)
         if want_choices:
-            choice_levels[level] = choices
-    return DpTables(n=ci.n, prefix=ci.prefix, top=prev, choice_levels=choice_levels)
-
-
-def _fill_kernel(ci, objective, want_choices):
-    xs = np.asarray(ci.xs, dtype=np.int64)
-    mult = np.asarray(ci.mult, dtype=np.int64)
-    prefix = np.asarray(ci.prefix, dtype=np.int64)
-    top, choices, offsets = _kernel.fill_all(
-        xs, mult, prefix, ci.n, objective is Objective.MAX, want_choices
-    )
-    if not want_choices:
-        choices = offsets = None
-    return DpTables(
-        n=ci.n, prefix=ci.prefix, top=top, choices_flat=choices, offsets=offsets
-    )
-
-
-def kernel_capacity_ok(ci: CompressedInstance) -> bool:
-    """True when every table value provably fits the compiled kernel's int64."""
-    span = ci.xs[-1] - ci.xs[0]
-    return (ci.n * ci.n // 4 + 1) * span <= _KERNEL_VALUE_LIMIT
+            choices[level] = level_choices
+    return top, choices
 
 
 def scan_roots(
-    ci: CompressedInstance, top: object, spec: ProblemSpec
-) -> tuple[DpState, int]:
-    """Pick the optimal final-level state.
+    ci: CompressedInstance, top: list[list[int]], spec: ProblemSpec
+) -> tuple[tuple[int, int], int]:
+    """Pick the optimal final-level state ``(p, r)`` and its value.
 
     Unconstrained: scan every state.  Exact size k: scan the states with
     p + r = k.  Ties break to the lexicographically smallest (p, r).
     """
     spec.validate_for(ci.n)
-    level = ci.l
-    big = ci.prefix[level - 1]
+    big = ci.prefix[ci.l - 1]
     rowlen = ci.n - big + 1
     maximize = spec.objective is Objective.MAX
-
-    if isinstance(top, np.ndarray):
-        if spec.k is None:
-            flat = int(np.argmax(top) if maximize else np.argmin(top))
-            p, r = divmod(flat, rowlen)
-            return DpState(level, p, r), int(top[p, r])
-        k = spec.k
-        p_lo = max(0, k - (rowlen - 1))
-        p_hi = min(big, k)
-        ps = np.arange(p_lo, p_hi + 1)
-        diag = top[ps, k - ps]
-        idx = int(np.argmax(diag) if maximize else np.argmin(diag))
-        p = p_lo + idx
-        return DpState(level, p, k - p), int(diag[idx])
 
     best = None
     best_state = None
@@ -233,26 +152,26 @@ def scan_roots(
         v = top[p][r]
         if best is None or ((v > best) if maximize else (v < best)):
             best = v
-            best_state = DpState(level, p, r)
+            best_state = (p, r)
     if best_state is None:
         raise InternalInconsistency("no feasible root state")
     return best_state, best
 
 
 def reconstruct(
-    ci: CompressedInstance, tables: DpTables, root: DpState
+    ci: CompressedInstance, choices: dict[int, list[list[int]]], root: tuple[int, int]
 ) -> tuple[int, ...]:
-    """Walk the stored choices from a root state back to level 1.
+    """Walk the stored choices from a root state ``(p, r)`` back to level 1.
 
     The root's r gives the last coordinate's first-set count; each step down
     reads r0 from the choice table and moves to state (p - r0, r0 + r), which
-    keeps p + r invariant, so the profile sums to root.p + root.r.
+    keeps p + r invariant, so the profile sums to the root's p + r.
     """
     profile = [0] * ci.l
-    p, r = root.p, root.r
+    p, r = root
     profile[ci.l - 1] = r
     for level in range(ci.l, 1, -1):
-        r0 = tables.choice(level, p, r)
+        r0 = choices[level][p][r]
         lo, hi = transition_bounds(p, ci.prefix[level - 1] - p, ci.mult[level - 2])
         if not lo <= r0 <= hi:
             raise InternalInconsistency(
@@ -277,33 +196,21 @@ def solve(
     spec: ProblemSpec,
     *,
     with_assignment: bool = True,
-    impl: str = "auto",
 ) -> Solution:
     """Solve the cut problem exactly.
 
     ``with_assignment=False`` skips choice storage and reconstruction, cutting
     memory from one small integer per state to two rolling value levels.
-    ``impl`` is "auto", "kernel" or "python"; auto prefers the compiled kernel
-    whenever its 64-bit capacity is provably sufficient.
     """
     spec.validate_for(ci.n)
-    use = impl
-    if use == "auto":
-        fast_ok = _kernel.HAVE_NUMBA and kernel_capacity_ok(ci) and not _fault_transition_lo
-        use = "kernel" if fast_ok else "python"
-    if use == "kernel":
-        tables = _fill_kernel(ci, spec.objective, with_assignment)
-    elif use == "python":
-        tables = _fill_python(ci, spec.objective, with_assignment)
-    else:
-        raise ValueError(f"unknown impl {impl!r}")
-
-    root, value = scan_roots(ci, tables.top, spec)
+    top, choices = fill_tables(ci, spec.objective, with_assignment)
+    root, value = scan_roots(ci, top, spec)
+    size = sum(root)
     if not with_assignment:
-        return Solution(ci=ci, spec=spec, value=value, k_actual=root.p + root.r)
+        return Solution(ci=ci, spec=spec, value=value, k_actual=size)
 
-    profile = reconstruct(ci, tables, root)
-    if sum(profile) != root.p + root.r:
+    profile = reconstruct(ci, choices, root)
+    if sum(profile) != size:
         raise InternalInconsistency("reconstructed profile size disagrees with root")
     if spec.k is not None and sum(profile) != spec.k:
         raise InternalInconsistency("reconstructed profile misses the size constraint")

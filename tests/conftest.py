@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
+import linecut.solver as solver
 from linecut.model import Instance, compress
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -18,6 +20,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def faulty_transition(monkeypatch):
+    """Break the recurrence: shift the transition window's lower end up by one.
+
+    ``fill_level`` and ``reconstruct`` look ``transition_bounds`` up at call
+    time, so both see the shifted window.  Checks that must catch a broken
+    solver run with this fixture; it only reaches the current process.
+    """
+    exact = solver.transition_bounds
+
+    def shifted(p, q, m_prev):
+        lo, hi = exact(p, q, m_prev)
+        return lo + 1, hi
+
+    monkeypatch.setattr(solver, "transition_bounds", shifted)
 
 
 small_coords = st.integers(min_value=-50, max_value=50)

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-import linecut.solver as solver
 from linecut.cli import (
     CSV_FIELDS,
     BenchRecord,
@@ -187,26 +186,18 @@ class TestVerify:
         parallel = run_verify(5, 16, 3, workers=4)
         assert serial == parallel
 
-    def test_fault_injection_detected(self):
-        solver._fault_transition_lo = True
-        try:
-            report = run_verify(4, 10, 1, workers=1)
-        finally:
-            solver._fault_transition_lo = False
+    def test_fault_injection_detected(self, faulty_transition):
+        report = run_verify(4, 10, 1, workers=1)
         assert not report.ok
         assert report.first_failure is not None
         assert report.first_failure.instance_text
         assert "result: FAIL" in report.render()
 
-    def test_fault_injection_via_cli(self, capsys, monkeypatch):
+    def test_fault_injection_via_cli(self, capsys, monkeypatch, faulty_transition):
         monkeypatch.setenv("LINECUT_THREADS", "1")
-        solver._fault_transition_lo = True
-        try:
-            code, out, _ = run_cli(
-                capsys, "verify", "--n-max", "4", "--trials", "6", "--seed", "1"
-            )
-        finally:
-            solver._fault_transition_lo = False
+        code, out, _ = run_cli(
+            capsys, "verify", "--n-max", "4", "--trials", "6", "--seed", "1"
+        )
         assert code == 1
         assert "first counterexample" in out
 
