@@ -2,8 +2,10 @@
 
 Subcommands: ``solve`` (exact optimum), ``oracle`` (exhaustive cross-check),
 ``verify`` (randomised solver-vs-oracle sweep), ``gen`` (seeded instances),
-``bench`` (empirical complexity fit).  Exit codes: 0 success, 1 solver or
-validation error, 2 usage error.
+``bench`` (empirical complexity fit).  Exit codes: 0 success, 1 solver,
+validation or input-file error, 2 usage error.
+
+``verify`` and ``bench`` run their trials in order in the calling process.
 
 Output is byte-deterministic for equal inputs and flags; wall-clock fields
 appear only under ``--timing`` (solve/oracle) or in bench's timing columns.
@@ -14,11 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,20 +44,6 @@ BENCH_SPAN = 10**9
 
 class _UsageError(Exception):
     """Bad flag combination caught after argparse."""
-
-
-def _worker_count() -> int:
-    """Worker cap from LINECUT_THREADS; 0 or absent means auto."""
-    raw = os.environ.get("LINECUT_THREADS", "").strip()
-    if not raw or raw == "0":
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise LinecutError(f"LINECUT_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise LinecutError(f"LINECUT_THREADS must be >= 0, got {count}")
-    return count
 
 
 def _spec_label(spec: ProblemSpec) -> str:
@@ -134,8 +120,7 @@ def _verify_problems(n: int) -> list[ProblemSpec]:
     return specs
 
 
-def _verify_trial(task: tuple[int, int, int]) -> tuple[int, int, list[VerifyFailure]]:
-    idx, n_max, seed = task
+def _verify_trial(idx: int, n_max: int, seed: int) -> tuple[int, list[VerifyFailure]]:
     inst = _verify_instance(n_max, seed, idx)
     ci = compress(inst)
     text = render_instance(inst)
@@ -163,29 +148,21 @@ def _verify_trial(task: tuple[int, int, int]) -> tuple[int, int, list[VerifyFail
             fail(label, f"profile {got.profile} does not evaluate to {got.value}")
         elif spec.k is not None and sum(got.profile) != spec.k:
             fail(label, f"profile {got.profile} has size {sum(got.profile)} != k")
-    return idx, checks, failures
+    return checks, failures
 
 
-def run_verify(
-    n_max: int, trials: int, seed: int, workers: Optional[int] = None
-) -> VerifyReport:
+def run_verify(n_max: int, trials: int, seed: int) -> VerifyReport:
     """Compare solve against the oracle on seeded instances, every problem each."""
     if n_max < 1:
         raise LinecutError(f"n_max must be >= 1, got {n_max}")
     if trials < 1:
         raise LinecutError(f"trials must be >= 1, got {trials}")
-    count = workers if workers is not None else _worker_count()
-    tasks = [(idx, n_max, seed) for idx in range(trials)]
-    if count == 1 or trials == 1:
-        results = [_verify_trial(t) for t in tasks]
-    else:
-        chunk = max(1, trials // (count * 4))
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(_verify_trial, tasks, chunksize=chunk))
-
-    results.sort(key=lambda r: r[0])
-    checks = sum(r[1] for r in results)
-    all_failures = [f for r in results for f in r[2]]
+    checks = 0
+    all_failures: list[VerifyFailure] = []
+    for idx in range(trials):
+        trial_checks, failures = _verify_trial(idx, n_max, seed)
+        checks += trial_checks
+        all_failures += failures
     return VerifyReport(
         trials=trials,
         checks=checks,
@@ -255,11 +232,6 @@ def run_bench(
             raise LinecutError(f"bisection benchmarks need even sizes, got {s}")
     if trials < 1:
         raise LinecutError(f"trials must be >= 1, got {trials}")
-
-    # Absorb one-time jit compilation before anything is timed.
-    warm_inst, _ = _distinct_uniform(BENCH_MIN_SIZE, seed ^ 0x5EED, 0)
-    warm_ci = compress(warm_inst)
-    solve(warm_ci, ProblemSpec.bisection(Objective.MAX, warm_ci.n))
 
     records: list[BenchRecord] = []
     medians: list[float] = []
@@ -440,10 +412,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except LinecutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LinecutError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,8 @@ from .errors import (
     UnsupportedProblem,
 )
 
-# |scaled| <= 2**40 keeps every cut value below 2**74 for n <= 1e5, well inside
-# the solver's guarded 64-bit fast path or Python's unbounded ints.
+# |scaled| <= 2**40 bounds every cut value below 2**74 for n <= 1e5; Python's
+# unbounded ints hold that exactly.
 MAX_ABS_COORD = 1 << 40
 
 # At most nine fractional digits; wider decimals are rejected at parse time.
@@ -115,17 +115,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class CompressedInstance:
-    """Sorted distinct coordinates with multiplicities, prefix counts and gaps.
+    """Sorted distinct coordinates with multiplicities and prefix counts.
 
-    ``prefix[i]`` counts the points at the first i distinct coordinates, so
-    ``prefix[0] == 0`` and ``prefix[l] == n``; ``gaps[i]`` is
-    ``xs[i+1] - xs[i]`` (always positive).
+    ``xs`` is strictly increasing.  ``prefix[i]`` counts the points at the
+    first i distinct coordinates, so ``prefix[0] == 0`` and ``prefix[l] == n``.
     """
 
     xs: tuple[int, ...]
     mult: tuple[int, ...]
     prefix: tuple[int, ...]
-    gaps: tuple[int, ...]
     n: int
     scale_exp: int = 0
 
@@ -135,13 +133,11 @@ class CompressedInstance:
             l >= 1
             and len(self.mult) == l
             and len(self.prefix) == l + 1
-            and len(self.gaps) == l - 1
             and self.prefix[0] == 0
             and all(m >= 1 for m in self.mult)
             and all(self.prefix[i + 1] == self.prefix[i] + self.mult[i] for i in range(l))
             and self.prefix[l] == self.n
             and all(b > a for a, b in zip(self.xs, self.xs[1:]))
-            and all(g == b - a > 0 for g, a, b in zip(self.gaps, self.xs, self.xs[1:]))
         )
         if not ok:
             raise InternalInconsistency("compressed instance fields are inconsistent")
@@ -159,12 +155,10 @@ def compress(instance: Instance) -> CompressedInstance:
     prefix = [0]
     for m in mult:
         prefix.append(prefix[-1] + m)
-    gaps = tuple(b - a for a, b in zip(xs, xs[1:]))
     return CompressedInstance(
         xs=xs,
         mult=mult,
         prefix=tuple(prefix),
-        gaps=gaps,
         n=instance.n,
         scale_exp=instance.scale_exp,
     )
@@ -195,7 +189,8 @@ def cut_value_sweep(ci: CompressedInstance, a: Sequence[int]) -> int:
     total_first = sum(a)
     first_left = 0
     acc = 0
-    for i, g in enumerate(ci.gaps):
+    for i in range(ci.l - 1):
+        g = ci.xs[i + 1] - ci.xs[i]
         first_left += a[i]
         second_left = ci.prefix[i + 1] - first_left
         first_right = total_first - first_left

@@ -49,7 +49,8 @@ def oracle_solve(
     if size > cap:
         raise TooLargeForOracle(f"{size} profiles exceed the cap of {cap}")
 
-    n, mult, gaps, prefix = ci.n, ci.mult, ci.gaps, ci.prefix
+    n, mult, prefix = ci.n, ci.mult, ci.prefix
+    gaps = [b - a for a, b in zip(ci.xs, ci.xs[1:])]
     k_lo, k_hi = (0, n) if spec.k is None else (spec.k, spec.k)
     sign = 1 if spec.objective is Objective.MAX else -1
     last = ci.l - 1

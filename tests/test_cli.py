@@ -8,7 +8,6 @@ import pytest
 from linecut.cli import (
     CSV_FIELDS,
     BenchRecord,
-    _worker_count,
     dispatch,
     run_bench,
     run_verify,
@@ -89,6 +88,15 @@ class TestSolveCommand:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", "max-cut", "--input", "/no/such")
         assert code == 1
+        assert err.startswith("error:")
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        # A byte that is not UTF-8 is an input error (exit 1), not a traceback.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0\n\xff1\n")
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut", "--input", str(path))
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
     def test_unknown_flag(self, capsys):
@@ -172,8 +180,7 @@ class TestGenCommand:
 
 
 class TestVerify:
-    def test_small_run_passes(self, capsys, monkeypatch):
-        monkeypatch.setenv("LINECUT_THREADS", "1")
+    def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n-max", "5", "--trials", "12", "--seed", "3"
         )
@@ -181,20 +188,14 @@ class TestVerify:
         assert "failures: 0" in out
         assert "result: PASS" in out
 
-    def test_parallel_equals_serial(self):
-        serial = run_verify(5, 16, 3, workers=1)
-        parallel = run_verify(5, 16, 3, workers=4)
-        assert serial == parallel
-
     def test_fault_injection_detected(self, faulty_transition):
-        report = run_verify(4, 10, 1, workers=1)
+        report = run_verify(4, 10, 1)
         assert not report.ok
         assert report.first_failure is not None
         assert report.first_failure.instance_text
         assert "result: FAIL" in report.render()
 
-    def test_fault_injection_via_cli(self, capsys, monkeypatch, faulty_transition):
-        monkeypatch.setenv("LINECUT_THREADS", "1")
+    def test_fault_injection_via_cli(self, capsys, faulty_transition):
         code, out, _ = run_cli(
             capsys, "verify", "--n-max", "4", "--trials", "6", "--seed", "1"
         )
@@ -203,9 +204,9 @@ class TestVerify:
 
     def test_bad_params(self):
         with pytest.raises(LinecutError):
-            run_verify(0, 5, 1, workers=1)
+            run_verify(0, 5, 1)
         with pytest.raises(LinecutError):
-            run_verify(5, 0, 1, workers=1)
+            run_verify(5, 0, 1)
 
 
 class TestBench:
@@ -243,23 +244,3 @@ class TestBench:
         rec = BenchRecord(50, 50, "uniform", 1, "max-bisection", 10, 99)
         assert rec.row() == (50, 50, "uniform", 1, "max-bisection", 10, 99)
         assert CSV_FIELDS == ("n", "l", "kind", "seed", "problem", "elapsed_ns", "value")
-
-
-class TestWorkerCount:
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("LINECUT_THREADS", raising=False)
-        assert _worker_count() >= 1
-        monkeypatch.setenv("LINECUT_THREADS", "0")
-        assert _worker_count() >= 1
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("LINECUT_THREADS", "3")
-        assert _worker_count() == 3
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("LINECUT_THREADS", "zebra")
-        with pytest.raises(LinecutError):
-            _worker_count()
-        monkeypatch.setenv("LINECUT_THREADS", "-2")
-        with pytest.raises(LinecutError):
-            _worker_count()

@@ -102,7 +102,7 @@ class TestGenerate:
         assert all(-radius <= x <= span + radius for x in inst.scaled)
         # Tight clusters: few distinct gaps larger than the cluster width.
         ci = compress(inst)
-        assert sum(1 for g in ci.gaps if g > 2 * radius) < 3
+        assert sum(1 for a, b in zip(ci.xs, ci.xs[1:]) if b - a > 2 * radius) < 3
 
     def test_deterministic(self):
         spec = GenSpec(GenKind.CLUSTERED, 50, 10**6, 11, clusters=2)

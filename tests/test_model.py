@@ -61,14 +61,12 @@ class TestCompress:
         assert ci.xs == (0, 1, 2)
         assert ci.mult == (1, 1, 1)
         assert ci.prefix == (0, 1, 2, 3)
-        assert ci.gaps == (1, 1)
 
     def test_single_value(self):
         ci = ci_of(5, 5, 5)
         assert ci.xs == (5,)
         assert ci.mult == (3,)
         assert ci.prefix == (0, 3)
-        assert ci.gaps == ()
 
     def test_duplicate_grouping(self):
         ci = ci_of(0, 0, 0, 1)
@@ -89,7 +87,6 @@ class TestCompress:
         assert all(
             ci.prefix[i + 1] - ci.prefix[i] == ci.mult[i] for i in range(ci.l)
         )
-        assert all(g > 0 for g in ci.gaps)
         rebuilt = sorted(
             x for x, m in zip(ci.xs, ci.mult) for _ in range(m)
         )
