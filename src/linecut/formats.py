@@ -8,13 +8,14 @@ parsing and rendering are exact (no floats anywhere).
 
 from __future__ import annotations
 
-import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .errors import ParseError, PrecisionError, RangeError
 from .model import (
     MAX_ABS_COORD,
+    MAX_POINTS,
     MAX_SCALE_EXP,
     Instance,
     Solution,
@@ -43,6 +44,7 @@ def parse_instance(text: str) -> Instance:
     """Read instance text into an ``Instance`` with a shared fixed-point scale."""
     rows: list[tuple[int, int, str, str, int]] = []  # line_no, sign, whole, frac, mult
     scale = 0
+    total = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,6 +61,11 @@ def parse_instance(text: str) -> Instance:
                     line_no, f"multiplicity must be a positive integer, got {fields[1]!r}"
                 )
             mult = int(fields[1])
+        total += mult
+        if total > MAX_POINTS:
+            raise RangeError(
+                f"line {line_no}: the instance has more than {MAX_POINTS} points"
+            )
         sign, whole, frac = _split_decimal(fields[0])
         if len(frac) > MAX_SCALE_EXP:
             raise PrecisionError(
@@ -117,27 +124,35 @@ def render_solution(
     """
     ci = sol.ci
     label = problem_label if problem_label is not None else sol.spec.canonical_name()
-    assignment = None
+    rows = None
     if sol.profile is not None:
-        assignment = [
-            {
-                "x": format_value(x, ci.scale_exp),
-                "count_first": a,
-                "count_second": m - a,
-            }
+        rows = [
+            (format_value(x, ci.scale_exp), a, m - a)
             for x, m, a in zip(ci.xs, ci.mult, sol.profile)
         ]
+    value = format_value(sol.value, ci.scale_exp)
 
     if fmt == "json":
-        payload = {
-            "problem": label,
-            "n": ci.n,
-            "k": sol.k_actual,
-            "value": format_value(sol.value, ci.scale_exp),
-            "assignment": assignment,
-            "elapsed_ns": elapsed_ns,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # The exact layout of json.dumps(payload, indent=2), built directly
+        # because an indented dumps runs the pure-Python encoder.
+        if rows is None:
+            assignment = "null"
+        else:
+            assignment = "[\n" + ",\n".join(
+                f'    {{\n      "x": {_quote(x)},\n'
+                f'      "count_first": {first},\n'
+                f'      "count_second": {second}\n    }}'
+                for x, first, second in rows
+            ) + "\n  ]"
+        elapsed = "null" if elapsed_ns is None else elapsed_ns
+        return (
+            f'{{\n  "problem": {_quote(label)},\n'
+            f'  "n": {ci.n},\n'
+            f'  "k": {sol.k_actual},\n'
+            f'  "value": {_quote(value)},\n'
+            f'  "assignment": {assignment},\n'
+            f'  "elapsed_ns": {elapsed}\n}}\n'
+        )
     if fmt != "text":
         raise ValueError(f"unknown output format: {fmt!r}")
 
@@ -145,16 +160,13 @@ def render_solution(
         f"problem: {label}",
         f"n: {ci.n}",
         f"k: {sol.k_actual}",
-        f"value: {format_value(sol.value, ci.scale_exp)}",
+        f"value: {value}",
     ]
-    if assignment is None:
+    if rows is None:
         lines.append("assignment: omitted")
     else:
         lines.append("assignment (x: first | second):")
-        for entry in assignment:
-            lines.append(
-                f"  {entry['x']}: {entry['count_first']} | {entry['count_second']}"
-            )
+        lines.extend(f"  {x}: {first} | {second}" for x, first, second in rows)
     if elapsed_ns is not None:
         lines.append(f"elapsed_ns: {elapsed_ns}")
     return "\n".join(lines) + "\n"

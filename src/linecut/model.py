@@ -27,8 +27,12 @@ from .errors import (
     UnsupportedProblem,
 )
 
-# |scaled| <= 2**40 bounds every cut value below 2**74 for n <= 1e5; Python's
-# unbounded ints hold that exactly.
+# Largest instance the parser accepts, counting multiplicities; it refuses a
+# larger one before expanding any multiplicity.
+MAX_POINTS = 10**5
+
+# |scaled| <= 2**40 bounds every cut value below 2**74 for n <= MAX_POINTS;
+# Python's unbounded ints hold that exactly.
 MAX_ABS_COORD = 1 << 40
 
 # At most nine fractional digits; wider decimals are rejected at parse time.

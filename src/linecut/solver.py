@@ -7,7 +7,10 @@ set (p) and how many of the points at or collapsed onto that coordinate do
 onto its left neighbour changes the cut value by exactly ``gap * (p*t + q*r)``
 because interval lengths add along the line, so level values can be filled
 bottom-up from a zero base and an optimal partition recovered by backtracking
-the stored choices.
+the stored choices.  A choice is stored as the offset ``r0 - lo`` of the
+chosen r0 within the state's transition window [lo, hi]; windows of width
+<= 2 (every state of all-distinct input) are filled a row at a time with C
+builtins and keep their choices as one-byte rows.
 
 Total work is ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``, at most on
 the order of ``n^2 * (n + l)``; the bench harness measures the empirical
@@ -17,7 +20,9 @@ coordinate span.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import repeat
+from operator import add, gt, lt
+from typing import Optional, Sequence
 
 from .errors import InternalInconsistency
 from .model import (
@@ -65,12 +70,19 @@ def fill_level(
     level: int,
     prev: list[list[int]],
     objective: Objective,
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[list[list[int]], list[Sequence[int]]]:
     """Fill one level (>= 2) from the previous level's values.
 
     Returns ``(values, choices)`` where ``values[p][r]`` is the optimal cut
-    value of the level's subproblem and ``choices[p][r]`` the smallest
-    optimizing r0.  Exact for arbitrarily large coordinates (Python ints).
+    value of the level's subproblem and ``lo + choices[p][r]`` the smallest
+    optimizing r0, with ``lo`` the lower end of the state's transition
+    window.  Exact for arbitrarily large coordinates (Python ints).
+
+    When the window holds one or two r0 (every state of all-distinct input),
+    the candidates of a whole row are two shifted slices of ``prev`` and the
+    gap term is an arithmetic progression in r, so the row is built with C
+    builtins and its choices are a ``bytes`` row of 0/1 offsets.  Wider
+    windows are scanned state by state into a list of offsets.
     """
     if not 2 <= level <= ci.l:
         raise InternalInconsistency(f"level {level} outside 2..{ci.l}")
@@ -82,6 +94,11 @@ def fill_level(
     gap = ci.xs[level - 1] - ci.xs[level - 2]
     rowlen = ci.n - big + 1
     maximize = objective is Objective.MAX
+    better = max if maximize else min
+    # Strict comparison: on a tie the smaller r0 (offset 0) wins.
+    beats = gt if maximize else lt
+    # Immutable, so every width-1 row of the level can share it.
+    zeros = bytes(rowlen)
 
     values = []
     choices = []
@@ -92,6 +109,24 @@ def fill_level(
             raise InternalInconsistency(
                 f"empty transition window at level {level}, state p={p}, q={q}"
             )
+        if hi - lo <= 1:
+            # gap_term(gap, p, q, r, rowlen - 1 - r) = start + step * r
+            start = gap * p * (rowlen - 1)
+            step = gap * (q - p)
+            terms = (
+                range(start, start + step * rowlen, step)
+                if step
+                else repeat(start, rowlen)
+            )
+            a = prev[p - lo][lo : lo + rowlen]
+            if hi == lo:
+                values.append(list(map(add, terms, a)))
+                choices.append(zeros)
+            else:
+                b = prev[p - hi][hi : hi + rowlen]
+                values.append(list(map(add, terms, map(better, a, b))))
+                choices.append(bytes(map(beats, b, a)))
+            continue
         vrow = [0] * rowlen
         crow = [0] * rowlen
         for r in range(rowlen):
@@ -103,7 +138,7 @@ def fill_level(
                     best = v
                     br = r0
             vrow[r] = gap_term(gap, p, q, r, rowlen - 1 - r) + best
-            crow[r] = br
+            crow[r] = br - lo
         values.append(vrow)
         choices.append(crow)
     return values, choices
@@ -111,12 +146,14 @@ def fill_level(
 
 def fill_tables(
     ci: CompressedInstance, objective: Objective, want_choices: bool
-) -> tuple[list[list[int]], Optional[dict[int, list[list[int]]]]]:
+) -> tuple[list[list[int]], Optional[dict[int, list[Sequence[int]]]]]:
     """Fill every level bottom-up; return ``(top, choices)``.
 
     ``top[p][r]`` is the last level's value table; earlier levels are rolled
-    over.  ``choices[level][p][r]`` is the smallest optimizing r0 of each
-    state at levels >= 2, or ``choices`` is ``None`` in value-only mode.
+    over.  ``choices[level][p][r]`` is the offset ``r0 - lo`` of each state's
+    smallest optimizing r0 within its transition window at levels >= 2 (a
+    ``bytes`` row where the window has at most two entries, a list
+    otherwise), or ``choices`` is ``None`` in value-only mode.
     """
     top = base_level(ci.n)
     choices = {} if want_choices else None
@@ -159,20 +196,23 @@ def scan_roots(
 
 
 def reconstruct(
-    ci: CompressedInstance, choices: dict[int, list[list[int]]], root: tuple[int, int]
+    ci: CompressedInstance,
+    choices: dict[int, list[Sequence[int]]],
+    root: tuple[int, int],
 ) -> tuple[int, ...]:
     """Walk the stored choices from a root state ``(p, r)`` back to level 1.
 
     The root's r gives the last coordinate's first-set count; each step down
-    reads r0 from the choice table and moves to state (p - r0, r0 + r), which
-    keeps p + r invariant, so the profile sums to the root's p + r.
+    reads the offset r0 - lo from the choice table, adds the window's lower
+    end lo back, and moves to state (p - r0, r0 + r), which keeps p + r
+    invariant, so the profile sums to the root's p + r.
     """
     profile = [0] * ci.l
     p, r = root
     profile[ci.l - 1] = r
     for level in range(ci.l, 1, -1):
-        r0 = choices[level][p][r]
         lo, hi = transition_bounds(p, ci.prefix[level - 1] - p, ci.mult[level - 2])
+        r0 = lo + choices[level][p][r]
         if not lo <= r0 <= hi:
             raise InternalInconsistency(
                 f"stored choice {r0} outside window [{lo}, {hi}] at level {level}"

@@ -357,7 +357,7 @@ def test_criterion_9_determinism(tmp_path):
         9,
         "determinism",
         not problems,
-        f"byte-identical reruns of gen/solve/oracle, verify with 1 vs 8 "
-        f"workers, bench modulo timing columns; failed: {problems or 'none'}, "
+        f"byte-identical reruns of gen/solve/oracle, two reruns of verify, "
+        f"bench modulo timing columns; failed: {problems or 'none'}, "
         f"{elapsed:.1f}s",
     )

@@ -14,6 +14,7 @@ from linecut.cli import (
 )
 from linecut.errors import LinecutError
 from linecut.formats import parse_instance
+from linecut.model import MAX_POINTS
 
 
 @pytest.fixture
@@ -57,6 +58,13 @@ class TestSolveCommand:
         assert code == 1
         assert out == ""
         assert "multiplicity" in err
+
+    def test_point_cap_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"0\n1 {MAX_POINTS}\n"))
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_odd_bisection_fails_cleanly(self, capsys, instance_file):
         path = instance_file("0\n1\n2\n")

@@ -14,7 +14,13 @@ from linecut.formats import (
     render_instance,
     render_solution,
 )
-from linecut.model import Instance, ProblemSpec, Solution, compress
+from linecut.model import (
+    MAX_POINTS,
+    Instance,
+    ProblemSpec,
+    Solution,
+    compress,
+)
 from linecut.solver import solve
 
 from conftest import instances, wide_coords
@@ -81,6 +87,19 @@ class TestParse:
         with pytest.raises(RangeError):
             parse_instance(f"{1 << 40}\n0.5\n")
 
+    def test_point_cap(self):
+        half = MAX_POINTS // 2
+        assert parse_instance(f"0 {half}\n1 {MAX_POINTS - half}\n").n == MAX_POINTS
+        with pytest.raises(RangeError) as err:
+            parse_instance(f"0 {half}\n1 {MAX_POINTS + 1 - half}\n")
+        assert "line 2" in str(err.value)
+
+    def test_point_cap_precedes_expansion(self):
+        # The malformed third line is never reached: the running total is
+        # refused while the lines are read, before any multiplicity expands.
+        with pytest.raises(RangeError):
+            parse_instance(f"0 {MAX_POINTS}\n1\nx7\n")
+
     def test_empty(self):
         with pytest.raises(InstanceEmpty):
             parse_instance("# nothing\n\n")
@@ -117,7 +136,49 @@ class TestRenderInstance:
         assert render_instance(back) == text
 
 
+def reference_json(sol, label, elapsed_ns):
+    """What render_solution's JSON layout must equal, byte for byte."""
+    ci = sol.ci
+    assignment = None
+    if sol.profile is not None:
+        assignment = [
+            {
+                "x": format_value(x, ci.scale_exp),
+                "count_first": a,
+                "count_second": m - a,
+            }
+            for x, m, a in zip(ci.xs, ci.mult, sol.profile)
+        ]
+    payload = {
+        "problem": label if label is not None else sol.spec.canonical_name(),
+        "n": ci.n,
+        "k": sol.k_actual,
+        "value": format_value(sol.value, ci.scale_exp),
+        "assignment": assignment,
+        "elapsed_ns": elapsed_ns,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestRenderSolution:
+    @given(
+        instances(max_n=8, max_scale=4),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.none(), st.just('é"\\'), st.text(max_size=8)),
+        st.one_of(st.none(), st.integers(0, 1 << 62)),
+    )
+    def test_json_matches_dumps(self, inst, unconstrained, with_assignment, label, ns):
+        ci = compress(inst)
+        spec = (
+            ProblemSpec.max_cut()
+            if unconstrained
+            else ProblemSpec.min_partition(ci.n // 2)
+        )
+        sol = solve(ci, spec, with_assignment=with_assignment)
+        got = render_solution(sol, "json", problem_label=label, elapsed_ns=ns)
+        assert got == reference_json(sol, label, ns)
+
     def test_json_fields(self):
         ci = compress(Instance((0, 10)))
         sol = solve(ci, ProblemSpec.max_cut())

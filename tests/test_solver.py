@@ -77,7 +77,8 @@ class TestFillLevel:
         values, choices = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
         assert values[1][0] == 2
         assert values[0][2] == 2
-        assert choices[1][0] == 1
+        lo, _ = transition_bounds(1, 0, ci.mult[0])
+        assert lo + choices[1][0] == 1
 
     def test_base_level_zero(self):
         assert base_level(3) == [[0, 0, 0, 0]]
@@ -91,6 +92,76 @@ class TestFillLevel:
                         Objective.MIN)[0]
         assert hi[1][0] == 3
         assert lo[1][0] == 2
+
+
+def scalar_fill_level(ci, level, prev, objective):
+    """Reference: the state-by-state scan, storing r0 itself."""
+    big = ci.prefix[level - 1]
+    m_prev = ci.mult[level - 2]
+    gap = ci.xs[level - 1] - ci.xs[level - 2]
+    rowlen = ci.n - big + 1
+    maximize = objective is Objective.MAX
+    values, choices = [], []
+    for p in range(big + 1):
+        q = big - p
+        lo, hi = transition_bounds(p, q, m_prev)
+        vrow = [0] * rowlen
+        crow = [0] * rowlen
+        for r in range(rowlen):
+            best = prev[p - lo][lo + r]
+            br = lo
+            for r0 in range(lo + 1, hi + 1):
+                v = prev[p - r0][r0 + r]
+                if (v > best) if maximize else (v < best):
+                    best = v
+                    br = r0
+            vrow[r] = gap_term(gap, p, q, r, rowlen - 1 - r) + best
+            crow[r] = br
+        values.append(vrow)
+        choices.append(crow)
+    return values, choices
+
+
+distinct_cis = st.lists(
+    st.integers(-1000, 1000), min_size=1, max_size=14, unique=True
+).map(lambda xs: ci_of(*xs))
+# Few values, many copies: transition windows wider than two entries.
+duplicate_heavy_cis = st.lists(st.integers(0, 3), min_size=1, max_size=24).map(
+    lambda xs: ci_of(*xs)
+)
+wide_cis = compressed_instances(max_n=12, coord=wide_coords)
+
+
+class TestRowWiseFill:
+    @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
+    def test_matches_scalar_scan(self, ci):
+        for objective in Objective:
+            prev = base_level(ci.n)
+            for level in range(2, ci.l + 1):
+                want_values, want_r0 = scalar_fill_level(ci, level, prev, objective)
+                values, choices = fill_level(ci, level, prev, objective)
+                assert values == want_values
+                big = ci.prefix[level - 1]
+                for p, row in enumerate(choices):
+                    lo, _ = transition_bounds(p, big - p, ci.mult[level - 2])
+                    assert [lo + c for c in row] == want_r0[p]
+                prev = values
+
+    @given(distinct_cis)
+    def test_distinct_input_stores_byte_rows(self, ci):
+        _, choices = fill_tables(ci, Objective.MAX, True)
+        for rows in choices.values():
+            assert all(type(row) is bytes for row in rows)
+
+    def test_shifted_window_is_detected_on_distinct_input(
+        self, faulty_transition, monkeypatch
+    ):
+        ci = ci_of(0, 1, 2, 3)
+        for spec in (ProblemSpec.max_cut(), ProblemSpec.min_partition(2)):
+            with pytest.raises(InternalInconsistency):
+                solve(ci, spec)
+        monkeypatch.undo()
+        assert solve(ci, ProblemSpec.max_partition(2)).value == 8
 
 
 class TestScanRoots:
