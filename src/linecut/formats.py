@@ -25,6 +25,11 @@ from .model import (
 _NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
 # ASCII only: str.isdigit() also passes digits such as "³" that int() rejects.
 _MULT_RE = re.compile(r"[0-9]+\Z")
+# int() refuses digit strings longer than sys.get_int_max_str_digits(), so
+# significant digits are counted first: a number with more digits than the
+# cap is over it whatever they are.
+_COORD_DIGITS = len(str(MAX_ABS_COORD))
+_MULT_DIGITS = len(str(MAX_POINTS))
 
 
 def _split_decimal(token: str) -> tuple[int, str, str]:
@@ -56,11 +61,13 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(line_no, f"bad decimal literal {fields[0]!r}")
         mult = 1
         if len(fields) == 2:
-            if not _MULT_RE.match(fields[1]) or int(fields[1]) < 1:
+            digits = fields[1].lstrip("0")
+            if not _MULT_RE.match(fields[1]) or not digits:
                 raise ParseError(
                     line_no, f"multiplicity must be a positive integer, got {fields[1]!r}"
                 )
-            mult = int(fields[1])
+            # Past the cap when too long, so the total check below refuses it.
+            mult = int(digits) if len(digits) <= _MULT_DIGITS else MAX_POINTS + 1
         total += mult
         if total > MAX_POINTS:
             raise RangeError(
@@ -77,7 +84,13 @@ def parse_instance(text: str) -> Instance:
 
     coords: list[int] = []
     for line_no, sign, whole, frac, mult in rows:
-        scaled = sign * int(whole + frac.ljust(scale, "0"))
+        digits = (whole + frac.ljust(scale, "0")).lstrip("0")
+        if len(digits) > _COORD_DIGITS:
+            raise RangeError(
+                f"line {line_no}: coordinate with {len(digits)} significant digits "
+                f"at scale 10^-{scale} exceeds the supported range"
+            )
+        scaled = sign * int(digits or "0")
         if abs(scaled) > MAX_ABS_COORD:
             raise RangeError(
                 f"line {line_no}: coordinate magnitude {abs(scaled)} at scale "

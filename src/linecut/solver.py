@@ -8,9 +8,10 @@ onto its left neighbour changes the cut value by exactly ``gap * (p*t + q*r)``
 because interval lengths add along the line, so level values can be filled
 bottom-up from a zero base and an optimal partition recovered by backtracking
 the stored choices.  A choice is stored as the offset ``r0 - lo`` of the
-chosen r0 within the state's transition window [lo, hi]; windows of width
-<= 2 (every state of all-distinct input) are filled a row at a time with C
-builtins and keep their choices as one-byte rows.
+chosen r0 within the state's transition window [lo, hi].  Every row is
+filled at once with C builtins from shifted slices of the previous level,
+one slice per r0 in the window, and choice rows of windows up to 256 wide
+are stored as one byte per state.
 
 Total work is ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``, at most on
 the order of ``n^2 * (n + l)``; the bench harness measures the empirical
@@ -70,19 +71,21 @@ def fill_level(
     level: int,
     prev: list[list[int]],
     objective: Objective,
-) -> tuple[list[list[int]], list[Sequence[int]]]:
+    want_choices: bool = True,
+) -> tuple[list[list[int]], Optional[list[Sequence[int]]]]:
     """Fill one level (>= 2) from the previous level's values.
 
     Returns ``(values, choices)`` where ``values[p][r]`` is the optimal cut
     value of the level's subproblem and ``lo + choices[p][r]`` the smallest
     optimizing r0, with ``lo`` the lower end of the state's transition
-    window.  Exact for arbitrarily large coordinates (Python ints).
+    window; ``choices`` is ``None`` when ``want_choices`` is false.  Exact
+    for arbitrarily large coordinates (Python ints).
 
-    When the window holds one or two r0 (every state of all-distinct input),
-    the candidates of a whole row are two shifted slices of ``prev`` and the
-    gap term is an arithmetic progression in r, so the row is built with C
-    builtins and its choices are a ``bytes`` row of 0/1 offsets.  Wider
-    windows are scanned state by state into a list of offsets.
+    The candidates of a whole row are shifted slices of ``prev``, one per r0
+    in the window, and the gap term is an arithmetic progression in r, so
+    every row is built with C builtins.  Choice rows are ``bytes`` when the
+    window holds at most 256 entries (offsets fit a byte) and lists
+    otherwise.
     """
     if not 2 <= level <= ci.l:
         raise InternalInconsistency(f"level {level} outside 2..{ci.l}")
@@ -101,7 +104,7 @@ def fill_level(
     zeros = bytes(rowlen)
 
     values = []
-    choices = []
+    choices = [] if want_choices else None
     for p in range(big + 1):
         q = big - p
         lo, hi = transition_bounds(p, q, m_prev)
@@ -109,38 +112,33 @@ def fill_level(
             raise InternalInconsistency(
                 f"empty transition window at level {level}, state p={p}, q={q}"
             )
-        if hi - lo <= 1:
-            # gap_term(gap, p, q, r, rowlen - 1 - r) = start + step * r
-            start = gap * p * (rowlen - 1)
-            step = gap * (q - p)
-            terms = (
-                range(start, start + step * rowlen, step)
-                if step
-                else repeat(start, rowlen)
-            )
-            a = prev[p - lo][lo : lo + rowlen]
-            if hi == lo:
-                values.append(list(map(add, terms, a)))
+        # gap_term(gap, p, q, r, rowlen - 1 - r) = start + step * r
+        start = gap * p * (rowlen - 1)
+        step = gap * (q - p)
+        terms = (
+            range(start, start + step * rowlen, step)
+            if step
+            else repeat(start, rowlen)
+        )
+        a = prev[p - lo][lo : lo + rowlen]
+        if hi == lo:
+            values.append(list(map(add, terms, a)))
+            if want_choices:
                 choices.append(zeros)
-            else:
-                b = prev[p - hi][hi : hi + rowlen]
-                values.append(list(map(add, terms, map(better, a, b))))
+        elif hi == lo + 1:
+            # Its own path: these rows take about 40% longer on the general one.
+            b = prev[p - hi][hi : hi + rowlen]
+            values.append(list(map(add, terms, map(better, a, b))))
+            if want_choices:
                 choices.append(bytes(map(beats, b, a)))
-            continue
-        vrow = [0] * rowlen
-        crow = [0] * rowlen
-        for r in range(rowlen):
-            best = prev[p - lo][lo + r]
-            br = lo
-            for r0 in range(lo + 1, hi + 1):
-                v = prev[p - r0][r0 + r]
-                if (v > best) if maximize else (v < best):
-                    best = v
-                    br = r0
-            vrow[r] = gap_term(gap, p, q, r, rowlen - 1 - r) + best
-            crow[r] = br - lo
-        values.append(vrow)
-        choices.append(crow)
+        else:
+            slices = [prev[p - r0][r0 : r0 + rowlen] for r0 in range(lo, hi + 1)]
+            best = list(map(better, *slices))
+            values.append(list(map(add, terms, best)))
+            if want_choices:
+                # tuple.index finds the first, so smallest, optimizing offset.
+                offsets = map(tuple.index, zip(*slices), best)
+                choices.append(bytes(offsets) if hi - lo < 256 else list(offsets))
     return values, choices
 
 
@@ -152,13 +150,14 @@ def fill_tables(
     ``top[p][r]`` is the last level's value table; earlier levels are rolled
     over.  ``choices[level][p][r]`` is the offset ``r0 - lo`` of each state's
     smallest optimizing r0 within its transition window at levels >= 2 (a
-    ``bytes`` row where the window has at most two entries, a list
-    otherwise), or ``choices`` is ``None`` in value-only mode.
+    ``bytes`` row where the window has at most 256 entries, a list
+    otherwise), or ``choices`` is ``None`` in value-only mode, which builds
+    no choice rows at all.
     """
     top = base_level(ci.n)
     choices = {} if want_choices else None
     for level in range(2, ci.l + 1):
-        top, level_choices = fill_level(ci, level, top, objective)
+        top, level_choices = fill_level(ci, level, top, objective, want_choices)
         if want_choices:
             choices[level] = level_choices
     return top, choices

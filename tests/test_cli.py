@@ -66,6 +66,27 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 5000 + "\n", "0 " + "1" * 5000 + "\n"],
+        ids=["coordinate", "multiplicity"],
+    )
+    def test_oversized_digit_strings_fail_cleanly(self, capsys, instance_file, text):
+        path = instance_file(text)
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_zero_padded_values_are_accepted(self, capsys, instance_file):
+        pad = "0" * 5000
+        path = instance_file(f"{pad}1 {pad}2\n{pad}4\n")
+        code, out, _ = run_cli(
+            capsys, "solve", "--problem", "max-cut", "--input", path, "--output", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == "6"
+
     def test_odd_bisection_fails_cleanly(self, capsys, instance_file):
         path = instance_file("0\n1\n2\n")
         code, _, err = run_cli(capsys, "solve", "--problem", "min-bisection", "--input", path)

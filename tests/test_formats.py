@@ -100,6 +100,22 @@ class TestParse:
         with pytest.raises(RangeError):
             parse_instance(f"0 {MAX_POINTS}\n1\nx7\n")
 
+    def test_oversized_digit_strings(self):
+        # Longer than the 4,300 digits int() converts by default: refused by
+        # their digit count with a typed error, not a ValueError.
+        with pytest.raises(RangeError) as err:
+            parse_instance("0\n" + "1" * 5000 + "\n")
+        assert "line 2" in str(err.value)
+        with pytest.raises(RangeError) as err:
+            parse_instance("0 " + "1" * 5000 + "\n")
+        assert "line 1" in str(err.value)
+
+    def test_zero_padding_is_accepted(self):
+        pad = "0" * 5000
+        inst = parse_instance(f"{pad}1 {pad}2\n-{pad}3.50\n")
+        assert inst.scale_exp == 1
+        assert sorted(inst.scaled) == [-35, 10, 10]
+
     def test_empty(self):
         with pytest.raises(InstanceEmpty):
             parse_instance("# nothing\n\n")

@@ -153,6 +153,70 @@ class TestRowWiseFill:
         for rows in choices.values():
             assert all(type(row) is bytes for row in rows)
 
+    @given(duplicate_heavy_cis)
+    def test_duplicate_input_stores_byte_rows(self, ci):
+        # Every window here is narrower than 257, so every offset fits a byte.
+        _, choices = fill_tables(ci, Objective.MIN, True)
+        for rows in choices.values():
+            assert all(type(row) is bytes for row in rows)
+
+    def test_row_type_switches_at_257_wide_windows(self):
+        # Level 3 of m + m + 1 points holds a window of m + 1 entries (p = m).
+        for m, kinds in ((255, {bytes}), (256, {bytes, list})):
+            ci = ci_of(*[0] * m, *[1] * m, 2)
+            _, choices = fill_tables(ci, Objective.MAX, True)
+            assert {type(row) for row in choices[3]} == kinds
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_all_ties_take_offset_zero(self, objective):
+        # State p = 4 of level 3 has the 5-wide window r0 = 0..4.
+        ci = ci_of(*[0] * 4, *[1] * 4, 2)
+        assert transition_bounds(4, ci.prefix[2] - 4, ci.mult[1]) == (0, 4)
+        prev = [[5] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
+        values, choices = fill_level(ci, 3, prev, objective)
+        assert all(type(row) is bytes and not any(row) for row in choices)
+        assert values == scalar_fill_level(ci, 3, prev, objective)[0]
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_best_beyond_a_byte_is_stored_in_a_list(self, objective):
+        # State (p, r) = (300, 0) of level 3 sees r0 = 0..300; the only
+        # distinct candidate is prev[20][280], reached through r0 = 280.
+        ci = ci_of(*[0] * 300, *[1] * 300, 2)
+        prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
+        prev[20][280] = 1 if objective is Objective.MAX else -1
+        want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
+        values, choices = fill_level(ci, 3, prev, objective)
+        assert values == want_values
+        big = ci.prefix[2]
+        for p, row in enumerate(choices):
+            lo, hi = transition_bounds(p, big - p, ci.mult[1])
+            assert type(row) is (bytes if hi - lo < 256 else list)
+            assert [lo + c for c in row] == want_r0[p]
+        lo, _ = transition_bounds(300, big - 300, ci.mult[1])
+        assert type(choices[300]) is list
+        assert lo + choices[300][0] == want_r0[300][0] == 280
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProblemSpec.max_cut(), ProblemSpec.min_partition(300), ProblemSpec.max_partition(301)],
+        ids=ProblemSpec.canonical_name,
+    )
+    def test_wide_windows_match_oracle(self, spec):
+        ci = ci_of(*[0] * 300, *[7] * 300, 20)
+        got = solve(ci, spec)
+        want = oracle_solve(ci, spec)
+        assert (got.value, got.profile) == (want.value, want.profile)
+
+    @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
+    def test_value_only_mode_builds_no_choices(self, ci):
+        for objective in Objective:
+            top, choices = fill_tables(ci, objective, True)
+            lean_top, lean_choices = fill_tables(ci, objective, False)
+            assert lean_top == top
+            assert lean_choices is None
+            if ci.l >= 2:
+                assert fill_level(ci, 2, base_level(ci.n), objective, False)[1] is None
+
     def test_shifted_window_is_detected_on_distinct_input(
         self, faulty_transition, monkeypatch
     ):
