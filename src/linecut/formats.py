@@ -30,6 +30,15 @@ _MULT_RE = re.compile(r"[0-9]+\Z")
 # cap is over it whatever they are.
 _COORD_DIGITS = len(str(MAX_ABS_COORD))
 _MULT_DIGITS = len(str(MAX_POINTS))
+# Error messages quote at most this many characters of the offending text.
+_QUOTE_CHARS = 32
+
+
+def _excerpt(text: str) -> str:
+    """``repr`` of ``text``, or of a short prefix plus its length when long."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def _split_decimal(token: str) -> tuple[int, str, str]:
@@ -56,15 +65,18 @@ def parse_instance(text: str) -> Instance:
             continue
         fields = line.split()
         if len(fields) > 2:
-            raise ParseError(line_no, f"expected 'value [multiplicity]', got {raw!r}")
+            raise ParseError(
+                line_no, f"expected 'value [multiplicity]', got {_excerpt(raw)}"
+            )
         if not _NUMBER_RE.match(fields[0]):
-            raise ParseError(line_no, f"bad decimal literal {fields[0]!r}")
+            raise ParseError(line_no, f"bad decimal literal {_excerpt(fields[0])}")
         mult = 1
         if len(fields) == 2:
             digits = fields[1].lstrip("0")
             if not _MULT_RE.match(fields[1]) or not digits:
                 raise ParseError(
-                    line_no, f"multiplicity must be a positive integer, got {fields[1]!r}"
+                    line_no,
+                    f"multiplicity must be a positive integer, got {_excerpt(fields[1])}",
                 )
             # Past the cap when too long, so the total check below refuses it.
             mult = int(digits) if len(digits) <= _MULT_DIGITS else MAX_POINTS + 1
@@ -76,8 +88,8 @@ def parse_instance(text: str) -> Instance:
         sign, whole, frac = _split_decimal(fields[0])
         if len(frac) > MAX_SCALE_EXP:
             raise PrecisionError(
-                f"line {line_no}: {fields[0]!r} needs {len(frac)} fractional digits; "
-                f"at most {MAX_SCALE_EXP} are supported"
+                f"line {line_no}: {_excerpt(fields[0])} needs {len(frac)} fractional "
+                f"digits; at most {MAX_SCALE_EXP} are supported"
             )
         scale = max(scale, len(frac))
         rows.append((line_no, sign, whole, frac, mult))

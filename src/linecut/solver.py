@@ -11,12 +11,15 @@ the stored choices.  A choice is stored as the offset ``r0 - lo`` of the
 chosen r0 within the state's transition window [lo, hi].  Every row is
 filled at once with C builtins from shifted slices of the previous level,
 one slice per r0 in the window, and choice rows of windows up to 256 wide
-are stored as one byte per state.
+are stored as one byte per state.  Swapping the two sets maps state (p, r)
+to (q, t) and leaves ``gap * (p*t + q*r)`` unchanged, so every level table
+is centrally symmetric, and only its rows with p <= q are computed; each
+other row is its mirror's, read backwards.
 
-Total work is ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``, at most on
-the order of ``n^2 * (n + l)``; the bench harness measures the empirical
-exponent.  Table values are Python integers, so the fill is exact for every
-coordinate span.
+Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``,
+at most on the order of ``n^2 * (n + l)``; the bench harness measures the
+empirical exponent.  Table values are Python integers, so the fill is exact
+for every coordinate span.
 """
 
 from __future__ import annotations
@@ -86,6 +89,15 @@ def fill_level(
     every row is built with C builtins.  Choice rows are ``bytes`` when the
     window holds at most 256 entries (offsets fit a byte) and lists
     otherwise.
+
+    ``prev`` must be centrally symmetric, ``prev[p][r] ==
+    prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
+    are.  Then so is the new level, whose state (p, r) mirrors (q, t) with
+    q = big - p the second-set points left of the level's coordinate: only
+    rows p <= q are computed, and row q is row p reversed.  The mirror
+    state's window holds m_prev - r0 for each r0 in [lo, hi], so its
+    smallest optimizing r0 comes from the largest one here, and its offset
+    is ``hi - lo`` minus that r0's offset.
     """
     if not 2 <= level <= ci.l:
         raise InternalInconsistency(f"level {level} outside 2..{ci.l}")
@@ -103,9 +115,10 @@ def fill_level(
     # Immutable, so every width-1 row of the level can share it.
     zeros = bytes(rowlen)
 
-    values = []
-    choices = [] if want_choices else None
-    for p in range(big + 1):
+    values = [None] * (big + 1)
+    choices = [None] * (big + 1) if want_choices else None
+    # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring).
+    for p in range(big // 2 + 1):
         q = big - p
         lo, hi = transition_bounds(p, q, m_prev)
         if lo > hi:
@@ -122,23 +135,34 @@ def fill_level(
         )
         a = prev[p - lo][lo : lo + rowlen]
         if hi == lo:
-            values.append(list(map(add, terms, a)))
+            row = list(map(add, terms, a))
             if want_choices:
-                choices.append(zeros)
+                choices[p] = choices[q] = zeros
         elif hi == lo + 1:
             # Its own path: these rows take about 40% longer on the general one.
             b = prev[p - hi][hi : hi + rowlen]
-            values.append(list(map(add, terms, map(better, a, b))))
+            row = list(map(add, terms, map(better, a, b)))
             if want_choices:
-                choices.append(bytes(map(beats, b, a)))
+                choices[p] = bytes(map(beats, b, a))
+                if q != p:
+                    # The mirror's offset is 1 where r0 = lo strictly beats hi.
+                    choices[q] = bytes(map(beats, a, b))[::-1]
         else:
             slices = [prev[p - r0][r0 : r0 + rowlen] for r0 in range(lo, hi + 1)]
             best = list(map(better, *slices))
-            values.append(list(map(add, terms, best)))
+            row = list(map(add, terms, best))
             if want_choices:
+                store = bytes if hi - lo < 256 else list
                 # tuple.index finds the first, so smallest, optimizing offset.
-                offsets = map(tuple.index, zip(*slices), best)
-                choices.append(bytes(offsets) if hi - lo < 256 else list(offsets))
+                choices[p] = store(map(tuple.index, zip(*slices), best))
+                if q != p:
+                    # Over reversed slices the first optimizing index is the
+                    # mirror's offset: hi - lo minus the largest one here.
+                    slices.reverse()
+                    choices[q] = store(map(tuple.index, zip(*slices), best))[::-1]
+        values[p] = row
+        if q != p:
+            values[q] = row[::-1]
     return values, choices
 
 

@@ -78,6 +78,24 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\n1 " + "x" * 100_000 + "\n",
+            "0 1 " + "2" * 100_000 + "\n",
+            "x" * 100_000 + "\n",
+            "0." + "1" * 100_000 + "\n",
+        ],
+        ids=["multiplicity", "three-fields", "decimal", "fraction"],
+    )
+    def test_long_fields_give_short_errors(self, capsys, instance_file, text):
+        path = instance_file(text)
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut", "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.encode()) < 200
+
     def test_zero_padded_values_are_accepted(self, capsys, instance_file):
         pad = "0" * 5000
         path = instance_file(f"{pad}1 {pad}2\n{pad}4\n")

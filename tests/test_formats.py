@@ -110,6 +110,40 @@ class TestParse:
             parse_instance("0 " + "1" * 5000 + "\n")
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, error, length",
+        [
+            ("0\n1 " + "x" * 100_000 + "\n", ParseError, 100_000),
+            ("0 1 " + "2" * 100_000 + "\n", ParseError, 100_004),
+            ("x" * 100_000 + "\n", ParseError, 100_000),
+            ("0." + "1" * 100_000 + "\n", PrecisionError, 100_002),
+        ],
+        ids=["multiplicity", "three-fields", "decimal", "fraction"],
+    )
+    def test_long_fields_are_quoted_in_short(self, text, error, length):
+        # A short prefix and the field's length, never the whole field.
+        with pytest.raises(error) as err:
+            parse_instance(text)
+        message = str(err.value)
+        assert len(message.encode()) < 200
+        assert f"... ({length} characters)" in message
+
+    @pytest.mark.parametrize(
+        "text, quoted",
+        [
+            ("0\n1 2x\n", "'2x'"),
+            ("1 2 3\n", "'1 2 3'"),
+            ("1e5\n", "'1e5'"),
+            ("0.1234567891\n", "'0.1234567891'"),
+            ("0\n1 " + "x" * 32 + "\n", repr("x" * 32)),
+        ],
+    )
+    def test_short_fields_are_quoted_in_full(self, text, quoted):
+        with pytest.raises((ParseError, PrecisionError)) as err:
+            parse_instance(text)
+        assert quoted in str(err.value)
+        assert "characters)" not in str(err.value)
+
     def test_zero_padding_is_accepted(self):
         pad = "0" * 5000
         inst = parse_instance(f"{pad}1 {pad}2\n-{pad}3.50\n")

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 import linecut
@@ -134,6 +134,13 @@ wide_cis = compressed_instances(max_n=12, coord=wide_coords)
 
 class TestRowWiseFill:
     @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
+    # Equally spaced points, with and without copies: many candidates tie,
+    # and mirrored rows must still hold the smallest optimizing r0.
+    @example(ci_of(*range(12)))
+    @example(ci_of(0, 0, 1, 1, 2, 2, 3, 3, 4, 4))
+    @example(ci_of(*range(8), 2, 2, 5, 5, 5))
+    @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
+    @example(ci_of(*range(0, 30, 3), 0, 9, 9, 27, 27, 27, 27))
     def test_matches_scalar_scan(self, ci):
         for objective in Objective:
             prev = base_level(ci.n)
@@ -146,6 +153,21 @@ class TestRowWiseFill:
                     lo, _ = transition_bounds(p, big - p, ci.mult[level - 2])
                     assert [lo + c for c in row] == want_r0[p]
                 prev = values
+
+    @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
+    def test_level_tables_are_centrally_symmetric(self, ci):
+        # Swapping the sets maps state (p, r) to (big - p, rowlen - 1 - r).
+        for objective in Objective:
+            table = scalar_table = base_level(ci.n)
+            for level in range(2, ci.l + 1):
+                table, _ = fill_level(ci, level, table, objective)
+                scalar_table, _ = scalar_fill_level(ci, level, scalar_table, objective)
+                for values in (table, scalar_table):
+                    big = len(values) - 1
+                    assert all(
+                        values[p] == values[big - p][::-1] for p in range(big + 1)
+                    )
+            assert table == fill_tables(ci, objective, False)[0]
 
     @given(distinct_cis)
     def test_distinct_input_stores_byte_rows(self, ci):
@@ -181,9 +203,11 @@ class TestRowWiseFill:
     def test_best_beyond_a_byte_is_stored_in_a_list(self, objective):
         # State (p, r) = (300, 0) of level 3 sees r0 = 0..300; the only
         # distinct candidate is prev[20][280], reached through r0 = 280.
+        # Its mirror prev[280][21] keeps prev centrally symmetric, as
+        # fill_level requires, and lies outside that state's window.
         ci = ci_of(*[0] * 300, *[1] * 300, 2)
         prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
-        prev[20][280] = 1 if objective is Objective.MAX else -1
+        prev[20][280] = prev[280][21] = 1 if objective is Objective.MAX else -1
         want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
         values, choices = fill_level(ci, 3, prev, objective)
         assert values == want_values
