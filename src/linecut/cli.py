@@ -2,8 +2,9 @@
 
 Subcommands: ``solve`` (exact optimum), ``oracle`` (exhaustive cross-check),
 ``verify`` (randomised solver-vs-oracle sweep), ``gen`` (seeded instances),
-``bench`` (empirical complexity fit).  Exit codes: 0 success, 1 solver,
-validation or input-file error, 2 usage error.
+``bench`` (empirical complexity fit).  ``solve`` and ``oracle`` share one
+handler and differ only in the solver called.  Exit codes: 0 success,
+1 solver, validation or input-file error, 2 usage error.
 
 ``verify`` and ``bench`` run their trials in order in the calling process.
 
@@ -21,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import LinecutError, InternalInconsistency
 from .formats import parse_instance, render_instance, render_solution
@@ -35,8 +36,6 @@ from .model import (
 )
 from .oracle import oracle_solve
 from .solver import solve
-
-CSV_FIELDS = ("n", "l", "kind", "seed", "problem", "elapsed_ns", "value")
 
 BENCH_MIN_SIZE = 50
 BENCH_SPAN = 10**9
@@ -174,8 +173,9 @@ def run_verify(n_max: int, trials: int, seed: int) -> VerifyReport:
 # ---------------------------------------------------------------- bench
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
+    """One timed solve; the field order is bench's CSV column order."""
+
     n: int
     l: int
     kind: str
@@ -183,10 +183,6 @@ class BenchRecord:
     problem: str
     elapsed_ns: int
     value: int
-
-    def row(self) -> tuple:
-        return (self.n, self.l, self.kind, self.seed, self.problem,
-                self.elapsed_ns, self.value)
 
 
 def _distinct_uniform(n: int, seed: int, trial: int) -> tuple[Instance, GenSpec]:
@@ -199,16 +195,6 @@ def _distinct_uniform(n: int, seed: int, trial: int) -> tuple[Instance, GenSpec]
         if compress(inst).l == n:
             return inst, gspec
     raise LinecutError(f"could not draw {n} distinct points from span {BENCH_SPAN}")
-
-
-def _loglog_slope(sizes: Sequence[int], medians: Sequence[float]) -> float:
-    xs = [math.log(s) for s in sizes]
-    ys = [math.log(m) for m in medians]
-    x_bar = sum(xs) / len(xs)
-    y_bar = sum(ys) / len(ys)
-    num = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
-    den = sum((x - x_bar) ** 2 for x in xs)
-    return num / den
 
 
 def run_bench(
@@ -261,7 +247,10 @@ def run_bench(
             )
             times.append(elapsed)
         medians.append(statistics.median(times))
-    return records, _loglog_slope(sizes, medians)
+    fit = statistics.linear_regression(
+        [math.log(s) for s in sizes], [math.log(m) for m in medians]
+    )
+    return records, fit.slope
 
 
 # ---------------------------------------------------------------- commands
@@ -292,22 +281,14 @@ def _spec_from_args(args: argparse.Namespace, n: int) -> ProblemSpec:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    """Serve ``solve`` and ``oracle``; only ``solve`` has ``--no-assignment``."""
     ci = compress(_read_instance(args.input))
     spec = _spec_from_args(args, ci.n)
     t0 = time.perf_counter_ns()
-    sol = solve(ci, spec, with_assignment=not args.no_assignment)
-    elapsed = time.perf_counter_ns() - t0 if args.timing else None
-    sys.stdout.write(
-        render_solution(sol, args.output, problem_label=args.problem, elapsed_ns=elapsed)
-    )
-    return 0
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    ci = compress(_read_instance(args.input))
-    spec = _spec_from_args(args, ci.n)
-    t0 = time.perf_counter_ns()
-    sol = oracle_solve(ci, spec)
+    if args.command == "oracle":
+        sol = oracle_solve(ci, spec)
+    else:
+        sol = solve(ci, spec, with_assignment=not args.no_assignment)
     elapsed = time.perf_counter_ns() - t0 if args.timing else None
     sys.stdout.write(
         render_solution(sol, args.output, problem_label=args.problem, elapsed_ns=elapsed)
@@ -337,9 +318,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     records, slope = run_bench(args.sizes, args.trials, args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for record in records:
-        writer.writerow(record.row())
+    writer.writerow(BenchRecord._fields)
+    writer.writerows(records)
     sys.stdout.write(f"# log-log slope: {slope:.4f}\n")
     return 0
 
@@ -373,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive reference solver (small instances)")
     _add_instance_args(p)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--kind", required=True, choices=[k.value for k in GenKind])

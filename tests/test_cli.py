@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import linecut.cli as cli
 from linecut.cli import (
-    CSV_FIELDS,
     BenchRecord,
     dispatch,
     run_bench,
@@ -14,7 +15,7 @@ from linecut.cli import (
 )
 from linecut.errors import LinecutError
 from linecut.formats import parse_instance
-from linecut.model import MAX_POINTS
+from linecut.model import MAX_POINTS, Solution
 
 
 @pytest.fixture
@@ -204,6 +205,24 @@ class TestOracleCommand:
                     values.append(json.loads(out)["value"])
                 assert values[0] == values[1]
 
+    def test_timing_flag(self, capsys, instance_file):
+        path = instance_file("0\n1\n")
+        code, out, _ = run_cli(
+            capsys, "oracle", "--problem", "max-cut", "--input", path,
+            "--output", "json", "--timing",
+        )
+        assert code == 0
+        assert json.loads(out)["elapsed_ns"] > 0
+
+    def test_no_assignment_is_a_usage_error(self, capsys, instance_file):
+        path = instance_file("0\n1\n")
+        code, out, _ = run_cli(
+            capsys, "oracle", "--problem", "max-cut", "--input", path,
+            "--no-assignment",
+        )
+        assert code == 2
+        assert out == ""
+
 
 class TestGenCommand:
     def test_round_trip(self, capsys):
@@ -267,13 +286,30 @@ class TestBench:
             assert r.problem == "max-bisection"
         assert isinstance(slope, float)
 
+    def test_slope_of_a_cubic_cost(self, monkeypatch):
+        # A size-n solve that costs exactly n**3 ns must fit a slope of 3.
+        # The stand-in solve returns the all-second-set profile, value 0, which
+        # passes bench's re-evaluation.
+        clock = [0]
+
+        def fake_solve(ci, spec):
+            clock[0] += ci.n**3
+            return Solution(ci=ci, spec=spec, value=0, k_actual=0, profile=(0,) * ci.l)
+
+        monkeypatch.setattr(cli, "solve", fake_solve)
+        fake_time = SimpleNamespace(perf_counter_ns=lambda: clock[0])
+        monkeypatch.setattr(cli, "time", fake_time)
+        records, slope = run_bench([100, 200, 400], 1, 0)
+        assert [r.elapsed_ns for r in records] == [100**3, 200**3, 400**3]
+        assert slope == pytest.approx(3.0, abs=1e-9)
+
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--sizes", "50", "60", "--trials", "1", "--seed", "2"
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == ",".join(CSV_FIELDS)
+        assert lines[0] == ",".join(BenchRecord._fields)
         assert len(lines) == 4  # header + 2 records + slope comment
         assert lines[-1].startswith("# log-log slope:")
 
@@ -289,5 +325,7 @@ class TestBench:
 
     def test_record_field_order(self):
         rec = BenchRecord(50, 50, "uniform", 1, "max-bisection", 10, 99)
-        assert rec.row() == (50, 50, "uniform", 1, "max-bisection", 10, 99)
-        assert CSV_FIELDS == ("n", "l", "kind", "seed", "problem", "elapsed_ns", "value")
+        assert tuple(rec) == (50, 50, "uniform", 1, "max-bisection", 10, 99)
+        assert BenchRecord._fields == (
+            "n", "l", "kind", "seed", "problem", "elapsed_ns", "value"
+        )

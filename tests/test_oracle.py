@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import hypothesis.strategies as st
@@ -38,17 +39,35 @@ class TestOracleSolve:
         assert oracle_solve(ci_of(0, 1, 2, 3), ProblemSpec.min_partition(2)).value == 6
         assert oracle_solve(ci_of(5, 5, 5), ProblemSpec.max_partition(1)).value == 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         ci = ci_of(0, 1, 2, 3)
         assert profile_space(ci) == 16
+        monkeypatch.setattr(oracle, "PROFILE_CAP", 15)
         with pytest.raises(TooLargeForOracle):
-            oracle_solve(ci, ProblemSpec.max_cut(), cap=15)
-        oracle_solve(ci, ProblemSpec.max_cut(), cap=16)
+            oracle_solve(ci, ProblemSpec.max_cut())
+        monkeypatch.setattr(oracle, "PROFILE_CAP", 16)
+        oracle_solve(ci, ProblemSpec.max_cut())
         ci = ci_of(0, 0, 0, 1, 1, 7)  # (3+1) * (2+1) * (1+1) profiles
         assert profile_space(ci) == 24
+        monkeypatch.setattr(oracle, "PROFILE_CAP", 23)
         with pytest.raises(TooLargeForOracle):
-            oracle_solve(ci, ProblemSpec.max_partition(3), cap=23)
-        oracle_solve(ci, ProblemSpec.max_partition(3), cap=24)
+            oracle_solve(ci, ProblemSpec.max_partition(3))
+        monkeypatch.setattr(oracle, "PROFILE_CAP", 24)
+        oracle_solve(ci, ProblemSpec.max_partition(3))
+
+    def test_leaves_no_cyclic_garbage(self):
+        # Every call's garbage must go by reference counting alone, so the
+        # cyclic collector has nothing to find afterwards.
+        cis = [ci_of(0, 0, 1, 3, 3, 3, 7, 12), ci_of(4, 4, 4)]
+        gc.collect()
+        gc.disable()
+        try:
+            for ci in cis:
+                for spec in all_specs(ci.n):
+                    oracle_solve(ci, spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_min_unconstrained_rejected(self):
         with pytest.raises(UnsupportedProblem):
