@@ -22,8 +22,9 @@ from .model import (
     compress,
 )
 
-_NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
-# ASCII only: str.isdigit() also passes digits such as "³" that int() rejects.
+# ASCII digits only: \d and str.isdigit() also pass digits such as "１" or
+# "٣", which int() reads as 1 and 3, and "³", which int() rejects.
+_NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?\Z")
 _MULT_RE = re.compile(r"[0-9]+\Z")
 # int() refuses digit strings longer than sys.get_int_max_str_digits(), so
 # significant digits are counted first: a number with more digits than the

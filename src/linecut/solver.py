@@ -9,12 +9,13 @@ because interval lengths add along the line, so level values can be filled
 bottom-up from a zero base and an optimal partition recovered by backtracking
 the stored choices.  A choice is stored as the offset ``r0 - lo`` of the
 chosen r0 within the state's transition window [lo, hi].  Every row is
-filled at once with C builtins from shifted slices of the previous level,
-one slice per r0 in the window, and choice rows of windows up to 256 wide
-are stored as one byte per state.  Swapping the two sets maps state (p, r)
-to (q, t) and leaves ``gap * (p*t + q*r)`` unchanged, so every level table
-is centrally symmetric, and only its rows with p <= q are computed; each
-other row is its mirror's, read backwards.
+filled at once from shifted slices of the previous level, one slice per r0
+in the window: a two-entry window by one comparison per state in a list
+comprehension, a wider one by C builtins over all its slices.  Choice rows
+of windows up to 256 wide are stored as one byte per state.  Swapping the
+two sets maps state (p, r) to (q, t) and leaves ``gap * (p*t + q*r)``
+unchanged, so every level table is centrally symmetric, and only its rows
+with p <= q are computed; each other row is its mirror's, read backwards.
 
 Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``,
 at most on the order of ``n^2 * (n + l)``; the bench harness measures the
@@ -85,10 +86,13 @@ def fill_level(
     for arbitrarily large coordinates (Python ints).
 
     The candidates of a whole row are shifted slices of ``prev``, one per r0
-    in the window, and the gap term is an arithmetic progression in r, so
-    every row is built with C builtins.  Choice rows are ``bytes`` when the
-    window holds at most 256 entries (offsets fit a byte) and lists
-    otherwise.
+    in the window, and the gap term is an arithmetic progression in r.  A
+    one-entry window adds the two with ``map``; a two-entry window keeps
+    the better of its two slices by one comparison per state in a list
+    comprehension; a wider window takes ``max``/``min`` over all its slices
+    at once.  Choice rows are ``bytes`` of strict comparisons or
+    ``tuple.index`` offsets when the window holds at most 256 entries
+    (offsets fit a byte) and lists otherwise.
 
     ``prev`` must be centrally symmetric, ``prev[p][r] ==
     prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
@@ -139,9 +143,14 @@ def fill_level(
             if want_choices:
                 choices[p] = choices[q] = zeros
         elif hi == lo + 1:
-            # Its own path: these rows take about 40% longer on the general one.
+            # Its own path: one comparison per state in a comprehension costs
+            # about a third of a max()/min() call, which parses keywords on
+            # every call.  On a tie both candidates have the same value.
             b = prev[p - hi][hi : hi + rowlen]
-            row = list(map(add, terms, map(better, a, b)))
+            if maximize:
+                row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
+            else:
+                row = [t + (v if v < u else u) for t, u, v in zip(terms, a, b)]
             if want_choices:
                 choices[p] = bytes(map(beats, b, a))
                 if q != p:
@@ -263,7 +272,8 @@ def solve(
     """Solve the cut problem exactly.
 
     ``with_assignment=False`` skips choice storage and reconstruction, cutting
-    memory from one small integer per state to two rolling value levels.
+    memory from one choice byte per state (a list entry where a transition
+    window holds more than 256 entries) to two rolling value levels.
     """
     spec.validate_for(ci.n)
     top, choices = fill_tables(ci, spec.objective, with_assignment)

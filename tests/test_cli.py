@@ -60,6 +60,20 @@ class TestSolveCommand:
         assert out == ""
         assert "multiplicity" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\uff11\uff12\n\u0663\n", "0\n\u0663\n", "0\n1.\u0665\n"],
+        ids=["fullwidth", "arabic-indic", "fraction"],
+    )
+    def test_non_ascii_coordinate_fails_cleanly(self, capsys, monkeypatch, text):
+        # printf '１２\n٣\n' | linecut solve --problem max-cut: refused, not
+        # read as the points 12 and 3.
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_point_cap_fails_cleanly(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(f"0\n1 {MAX_POINTS}\n"))
         code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")

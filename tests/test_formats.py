@@ -74,6 +74,23 @@ class TestParse:
             parse_instance("0\n1 \u00b3\n")
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("\uff11\uff12\n0\n", 1),  # fullwidth "12"
+            ("0\n\u0663\n", 2),  # Arabic-Indic "3"
+            ("0\n-1.\u0665\n", 2),  # Arabic-Indic "5" as a fraction digit
+            ("0\n\u00b3\n", 2),  # superscript, not a decimal digit
+        ],
+        ids=["fullwidth", "arabic-indic", "fraction", "superscript"],
+    )
+    def test_non_ascii_coordinate_digits(self, text, line_no):
+        # \d and int() accept every Unicode decimal digit; the format does not.
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == line_no
+        assert "bad decimal literal" in str(err.value)
+
     def test_too_many_fraction_digits(self):
         parse_instance("0.123456789\n")
         with pytest.raises(PrecisionError):

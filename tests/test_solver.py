@@ -9,6 +9,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 import linecut
+import linecut.solver as solver
 from linecut.errors import InternalInconsistency, InvalidK, UnsupportedProblem
 from linecut.model import (
     Instance,
@@ -240,6 +241,32 @@ class TestRowWiseFill:
             assert lean_choices is None
             if ci.l >= 2:
                 assert fill_level(ci, 2, base_level(ci.n), objective, False)[1] is None
+
+    @pytest.mark.parametrize("want_choices", [True, False])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_distinct_input_calls_no_max_or_min(
+        self, monkeypatch, objective, want_choices
+    ):
+        # All-distinct input has windows of at most two entries, and those
+        # rows are built by comparisons, never by a max()/min() per state.
+        calls = []
+
+        def counting(builtin):
+            def wrapper(*args, **kwargs):
+                calls.append(builtin)
+                return builtin(*args, **kwargs)
+
+            return wrapper
+
+        # Module globals shadow the builtins that fill_level looks up.
+        monkeypatch.setattr(solver, "max", counting(max), raising=False)
+        monkeypatch.setattr(solver, "min", counting(min), raising=False)
+        for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
+            fill_tables(ci_of(*xs), objective, want_choices)
+        assert calls == []
+        # A three-entry window (level 3, p = 2) does reach the wrappers.
+        fill_tables(ci_of(0, 0, 1, 1, 2), objective, want_choices)
+        assert calls
 
     def test_shifted_window_is_detected_on_distinct_input(
         self, faulty_transition, monkeypatch
