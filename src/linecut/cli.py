@@ -20,7 +20,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -140,6 +140,9 @@ def _verify_trial(idx: int, n_max: int, seed: int) -> tuple[int, list[VerifyFail
             continue
         if got.value != want.value:
             fail(label, f"solver value {got.value} != oracle value {want.value}")
+            continue
+        if got.profile != want.profile:
+            fail(label, f"solver profile {got.profile} != oracle profile {want.profile}")
             continue
         # Reconstruction re-checked here with the pairwise evaluator, which
         # shares nothing with either the recurrence or the oracle's sweep.
@@ -288,7 +291,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.command == "oracle":
         sol = oracle_solve(ci, spec)
     else:
-        sol = solve(ci, spec, with_assignment=not args.no_assignment)
+        sol = solve(ci, spec)
+        if args.no_assignment:
+            sol = replace(sol, profile=None)
     elapsed = time.perf_counter_ns() - t0 if args.timing else None
     sys.stdout.write(
         render_solution(sol, args.output, problem_label=args.problem, elapsed_ns=elapsed)
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance exactly")
     _add_instance_args(p)
     p.add_argument("--no-assignment", action="store_true",
-                   help="report the optimal value only (lower memory)")
+                   help="print the optimal value and size only")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exhaustive reference solver (small instances)")

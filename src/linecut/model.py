@@ -217,7 +217,8 @@ def cut_value_naive(ci: CompressedInstance, a: Sequence[int]) -> int:
 class Solution:
     """An optimal partition: its cut value, first-set size and (optionally) the profile.
 
-    ``profile`` is None when the solver ran in value-only mode.
+    ``profile`` is None when the caller dropped it, as ``linecut solve
+    --no-assignment`` does before rendering.
     """
 
     ci: CompressedInstance

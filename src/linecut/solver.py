@@ -6,16 +6,24 @@ set (p) and how many of the points at or collapsed onto that coordinate do
 (r); the second-set counts q and t follow from the totals.  Collapsing a level
 onto its left neighbour changes the cut value by exactly ``gap * (p*t + q*r)``
 because interval lengths add along the line, so level values can be filled
-bottom-up from a zero base and an optimal partition recovered by backtracking
-the stored choices.  A choice is stored as the offset ``r0 - lo`` of the
-chosen r0 within the state's transition window [lo, hi].  Every row is
-filled at once from shifted slices of the previous level, one slice per r0
-in the window: a two-entry window by one comparison per state in a list
-comprehension, a wider one by C builtins over all its slices.  Choice rows
-of windows up to 256 wide are stored as one byte per state.  Swapping the
-two sets maps state (p, r) to (q, t) and leaves ``gap * (p*t + q*r)``
-unchanged, so every level table is centrally symmetric, and only its rows
-with p <= q are computed; each other row is its mirror's, read backwards.
+bottom-up from a zero base.  Every row is filled at once from shifted slices
+of the previous level, one slice per r0 in the transition window: a
+two-entry window by one comparison per state in a list comprehension, a
+wider one by C builtins over all its slices.  Swapping the two sets maps
+state (p, r) to (q, t) and leaves ``gap * (p*t + q*r)`` unchanged, so every
+level table is centrally symmetric, and only its rows with p <= q are
+computed; each other row is its mirror's, read backwards.
+
+The table fill keeps values only.  Every transition keeps p + r, the size of
+the first set, fixed, so each level is n + 1 independent diagonals, one per
+size k.  The assignment is taken from diagonal k alone, re-filled on the
+reflected instance (coordinates negated, levels reversed) with each state's
+smallest optimizing r0.  Backtracking from the optimal root with the
+smallest r then fixes the counts from the original left end onwards, each
+the smallest that still reaches the optimum: the lexicographically smallest
+optimal profile of size k.  Max-cut re-fills every size whose diagonal
+reaches the optimum and reports the smallest of their profiles, the profile
+the exhaustive oracle returns too.
 
 Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``,
 at most on the order of ``n^2 * (n + l)``; the bench harness measures the
@@ -26,8 +34,7 @@ for every coordinate span.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, gt, lt
-from typing import Optional, Sequence
+from operator import add
 
 from .errors import InternalInconsistency
 from .model import (
@@ -35,7 +42,6 @@ from .model import (
     Objective,
     ProblemSpec,
     Solution,
-    complement_profile,
     cut_value_sweep,
 )
 
@@ -75,33 +81,25 @@ def fill_level(
     level: int,
     prev: list[list[int]],
     objective: Objective,
-    want_choices: bool = True,
-) -> tuple[list[list[int]], Optional[list[Sequence[int]]]]:
+) -> list[list[int]]:
     """Fill one level (>= 2) from the previous level's values.
 
-    Returns ``(values, choices)`` where ``values[p][r]`` is the optimal cut
-    value of the level's subproblem and ``lo + choices[p][r]`` the smallest
-    optimizing r0, with ``lo`` the lower end of the state's transition
-    window; ``choices`` is ``None`` when ``want_choices`` is false.  Exact
-    for arbitrarily large coordinates (Python ints).
+    Returns ``values`` where ``values[p][r]`` is the optimal cut value of the
+    level's subproblem.  Exact for arbitrarily large coordinates (Python
+    ints).
 
     The candidates of a whole row are shifted slices of ``prev``, one per r0
     in the window, and the gap term is an arithmetic progression in r.  A
     one-entry window adds the two with ``map``; a two-entry window keeps
     the better of its two slices by one comparison per state in a list
     comprehension; a wider window takes ``max``/``min`` over all its slices
-    at once.  Choice rows are ``bytes`` of strict comparisons or
-    ``tuple.index`` offsets when the window holds at most 256 entries
-    (offsets fit a byte) and lists otherwise.
+    at once.
 
     ``prev`` must be centrally symmetric, ``prev[p][r] ==
     prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
     are.  Then so is the new level, whose state (p, r) mirrors (q, t) with
     q = big - p the second-set points left of the level's coordinate: only
-    rows p <= q are computed, and row q is row p reversed.  The mirror
-    state's window holds m_prev - r0 for each r0 in [lo, hi], so its
-    smallest optimizing r0 comes from the largest one here, and its offset
-    is ``hi - lo`` minus that r0's offset.
+    rows p <= q are computed, and row q is row p reversed.
     """
     if not 2 <= level <= ci.l:
         raise InternalInconsistency(f"level {level} outside 2..{ci.l}")
@@ -114,13 +112,8 @@ def fill_level(
     rowlen = ci.n - big + 1
     maximize = objective is Objective.MAX
     better = max if maximize else min
-    # Strict comparison: on a tie the smaller r0 (offset 0) wins.
-    beats = gt if maximize else lt
-    # Immutable, so every width-1 row of the level can share it.
-    zeros = bytes(rowlen)
 
     values = [None] * (big + 1)
-    choices = [None] * (big + 1) if want_choices else None
     # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring).
     for p in range(big // 2 + 1):
         q = big - p
@@ -140,157 +133,145 @@ def fill_level(
         a = prev[p - lo][lo : lo + rowlen]
         if hi == lo:
             row = list(map(add, terms, a))
-            if want_choices:
-                choices[p] = choices[q] = zeros
         elif hi == lo + 1:
             # Its own path: one comparison per state in a comprehension costs
             # about a third of a max()/min() call, which parses keywords on
-            # every call.  On a tie both candidates have the same value.
+            # every call.
             b = prev[p - hi][hi : hi + rowlen]
             if maximize:
                 row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
             else:
                 row = [t + (v if v < u else u) for t, u, v in zip(terms, a, b)]
-            if want_choices:
-                choices[p] = bytes(map(beats, b, a))
-                if q != p:
-                    # The mirror's offset is 1 where r0 = lo strictly beats hi.
-                    choices[q] = bytes(map(beats, a, b))[::-1]
         else:
             slices = [prev[p - r0][r0 : r0 + rowlen] for r0 in range(lo, hi + 1)]
-            best = list(map(better, *slices))
-            row = list(map(add, terms, best))
-            if want_choices:
-                store = bytes if hi - lo < 256 else list
-                # tuple.index finds the first, so smallest, optimizing offset.
-                choices[p] = store(map(tuple.index, zip(*slices), best))
-                if q != p:
-                    # Over reversed slices the first optimizing index is the
-                    # mirror's offset: hi - lo minus the largest one here.
-                    slices.reverse()
-                    choices[q] = store(map(tuple.index, zip(*slices), best))[::-1]
+            row = list(map(add, terms, map(better, *slices)))
         values[p] = row
         if q != p:
             values[q] = row[::-1]
-    return values, choices
+    return values
 
 
-def fill_tables(
-    ci: CompressedInstance, objective: Objective, want_choices: bool
-) -> tuple[list[list[int]], Optional[dict[int, list[Sequence[int]]]]]:
-    """Fill every level bottom-up; return ``(top, choices)``.
+def fill_tables(ci: CompressedInstance, objective: Objective) -> list[list[int]]:
+    """Fill every level bottom-up and return the last level's value table.
 
-    ``top[p][r]`` is the last level's value table; earlier levels are rolled
-    over.  ``choices[level][p][r]`` is the offset ``r0 - lo`` of each state's
-    smallest optimizing r0 within its transition window at levels >= 2 (a
-    ``bytes`` row where the window has at most 256 entries, a list
-    otherwise), or ``choices`` is ``None`` in value-only mode, which builds
-    no choice rows at all.
+    ``top[p][r]`` is the optimal value of state (p, r) at the last level;
+    earlier levels are rolled over.
     """
     top = base_level(ci.n)
-    choices = {} if want_choices else None
     for level in range(2, ci.l + 1):
-        top, level_choices = fill_level(ci, level, top, objective, want_choices)
-        if want_choices:
-            choices[level] = level_choices
-    return top, choices
+        top = fill_level(ci, level, top, objective)
+    return top
 
 
 def scan_roots(
     ci: CompressedInstance, top: list[list[int]], spec: ProblemSpec
-) -> tuple[tuple[int, int], int]:
-    """Pick the optimal final-level state ``(p, r)`` and its value.
+) -> tuple[list[int], int]:
+    """Return ``(sizes, value)``: the optimum and the first-set sizes reaching it.
 
-    Unconstrained: scan every state.  Exact size k: scan the states with
-    p + r = k.  Ties break to the lexicographically smallest (p, r).
+    Last-level state (p, r) has first-set size p + r.  Exact size k: the
+    optimum of the states with p + r = k, and the sizes ``[k]``.
+    Unconstrained: the optimum of every state, and the sizes of all the
+    states that reach it, ascending.
     """
     spec.validate_for(ci.n)
-    big = ci.prefix[ci.l - 1]
-    rowlen = ci.n - big + 1
-    maximize = spec.objective is Objective.MAX
+    better = max if spec.objective is Objective.MAX else min
+    k = spec.k
+    if k is not None:
+        m_last = ci.mult[-1]
+        states = range(max(0, k - m_last), min(ci.n - m_last, k) + 1)
+        return [k], better(top[p][k - p] for p in states)
+    value = better(map(better, top))
+    sizes = {p + r for p, row in enumerate(top) for r, v in enumerate(row) if v == value}
+    return sorted(sizes), value
 
-    best = None
-    best_state = None
-    if spec.k is None:
-        candidates = ((p, r) for p in range(big + 1) for r in range(rowlen))
-    else:
-        p_lo = max(0, spec.k - (rowlen - 1))
-        p_hi = min(big, spec.k)
-        candidates = ((p, spec.k - p) for p in range(p_lo, p_hi + 1))
-    for p, r in candidates:
-        v = top[p][r]
-        if best is None or ((v > best) if maximize else (v < best)):
-            best = v
-            best_state = (p, r)
-    if best_state is None:
-        raise InternalInconsistency("no feasible root state")
-    return best_state, best
+
+def fill_diagonal(
+    ci: CompressedInstance, k: int, objective: Objective
+) -> tuple[list[int], list[list[int]]]:
+    """Fill diagonal k, the states (p, k - p), of every level.
+
+    Returns ``(values, picks)``: ``values[p]`` is the last level's value of
+    state (p, k - p), and ``picks[level - 2][p]`` the smallest optimizing r0
+    of that state at each level >= 2.  The predecessors (p - r0, k - p + r0)
+    of a state lie on the same diagonal, so each level reads only the
+    diagonal below it.  Rows are indexed by p from 0: where p < k - (n - big)
+    no state exists, and the entry is a 0 that no window reaches.
+    """
+    n = ci.n
+    better = max if objective is Objective.MAX else min
+    values = [0]  # level 1: the single state (0, k)
+    picks = []
+    for level in range(2, ci.l + 1):
+        big = ci.prefix[level - 1]
+        m_prev = ci.mult[level - 2]
+        gap = ci.xs[level - 1] - ci.xs[level - 2]
+        p_lo = max(0, k - (n - big))
+        row = [0] * p_lo
+        pick = [0] * p_lo
+        for p in range(p_lo, min(big, k) + 1):
+            q = big - p
+            lo, hi = transition_bounds(p, q, m_prev)
+            if lo > hi:
+                raise InternalInconsistency(
+                    f"empty transition window at level {level}, state p={p}, q={q}"
+                )
+            # The candidates for r0 = lo..hi, in that order.
+            window = values[p - hi : p - lo + 1]
+            window.reverse()
+            best = better(window)
+            pick.append(lo + window.index(best))
+            row.append(gap_term(gap, p, q, k - p, n - big - k + p) + best)
+        values = row
+        picks.append(pick)
+    return values, picks
 
 
 def reconstruct(
-    ci: CompressedInstance,
-    choices: dict[int, list[Sequence[int]]],
-    root: tuple[int, int],
+    ci: CompressedInstance, k: int, objective: Objective, value: int
 ) -> tuple[int, ...]:
-    """Walk the stored choices from a root state ``(p, r)`` back to level 1.
+    """Lexicographically smallest optimal profile of first-set size k.
 
-    The root's r gives the last coordinate's first-set count; each step down
-    reads the offset r0 - lo from the choice table, adds the window's lower
-    end lo back, and moves to state (p - r0, r0 + r), which keeps p + r
-    invariant, so the profile sums to the root's p + r.
+    ``value`` is the optimum of size k.  Diagonal k is re-filled on the
+    reflected instance, whose last level is the original first coordinate.
+    Its root is the optimal state with the smallest r, the count at that
+    coordinate; each step down takes the state's smallest optimizing r0, the
+    count at the next coordinate, and moves to state (p - r0, k - p + r0).
     """
-    profile = [0] * ci.l
-    p, r = root
-    profile[ci.l - 1] = r
-    for level in range(ci.l, 1, -1):
-        lo, hi = transition_bounds(p, ci.prefix[level - 1] - p, ci.mult[level - 2])
-        r0 = lo + choices[level][p][r]
-        if not lo <= r0 <= hi:
-            raise InternalInconsistency(
-                f"stored choice {r0} outside window [{lo}, {hi}] at level {level}"
-            )
-        profile[level - 2] = r0
-        p, r = p - r0, r0 + r
+    # Tuples from lists, not generators: a tuple built from a generator is
+    # resized, and each call would leave one more block on the tuple free list.
+    mirror = CompressedInstance(
+        xs=tuple([-x for x in reversed(ci.xs)]),
+        mult=ci.mult[::-1],
+        prefix=tuple([ci.n - c for c in reversed(ci.prefix)]),
+        n=ci.n,
+    )
+    values, picks = fill_diagonal(mirror, k, objective)
+    better = max if objective is Objective.MAX else min
+    if better(values[max(0, k - ci.mult[0]) :]) != value:
+        raise InternalInconsistency(f"re-filled diagonal {k} misses the optimum {value}")
+    # The largest p reaching the optimum is the root with the smallest r.
+    p = len(values) - 1 - values[::-1].index(value)
+    profile = [k - p]
+    for pick in reversed(picks):
+        r0 = pick[p]
+        profile.append(r0)
+        p -= r0
     if p != 0:
         raise InternalInconsistency("backtracking did not land on the base level")
     return tuple(profile)
 
 
-def _canonical_unconstrained(ci, profile):
-    # The two sides are interchangeable; report the lexicographically smaller
-    # of the profile and its complement so output never depends on internals.
-    comp = complement_profile(ci, profile)
-    return comp if comp < profile else profile
-
-
-def solve(
-    ci: CompressedInstance,
-    spec: ProblemSpec,
-    *,
-    with_assignment: bool = True,
-) -> Solution:
+def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     """Solve the cut problem exactly.
 
-    ``with_assignment=False`` skips choice storage and reconstruction, cutting
-    memory from one choice byte per state (a list entry where a transition
-    window holds more than 256 entries) to two rolling value levels.
+    The profile is the lexicographically smallest optimal one; for max-cut,
+    the smallest over every optimal first-set size.
     """
     spec.validate_for(ci.n)
-    top, choices = fill_tables(ci, spec.objective, with_assignment)
-    root, value = scan_roots(ci, top, spec)
-    size = sum(root)
-    if not with_assignment:
-        return Solution(ci=ci, spec=spec, value=value, k_actual=size)
-
-    profile = reconstruct(ci, choices, root)
-    if sum(profile) != size:
-        raise InternalInconsistency("reconstructed profile size disagrees with root")
-    if spec.k is not None and sum(profile) != spec.k:
-        raise InternalInconsistency("reconstructed profile misses the size constraint")
+    sizes, value = scan_roots(ci, fill_tables(ci, spec.objective), spec)
+    profile = min(reconstruct(ci, k, spec.objective, value) for k in sizes)
     if cut_value_sweep(ci, profile) != value:
         raise InternalInconsistency("reconstructed profile does not evaluate to the optimum")
-    if spec.k is None:
-        profile = _canonical_unconstrained(ci, profile)
     return Solution(
         ci=ci, spec=spec, value=value, k_actual=sum(profile), profile=profile
     )

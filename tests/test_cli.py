@@ -177,6 +177,30 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["assignment"] is None
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("2\n0\n3\n", ["max-cut"]),
+            ("0\n3 2\n7\n9\n", ["max-cut"]),
+            ("0\n3 2\n7\n9\n", ["min-partition", "--k", "2"]),
+        ],
+        ids=["max-cut", "max-cut-duplicates", "min-partition-duplicates"],
+    )
+    def test_no_assignment_keeps_value_and_k(self, capsys, instance_file, text, problem):
+        # The flag only drops the assignment from the output.
+        path = instance_file(text)
+        outputs = []
+        for extra in ([], ["--no-assignment"]):
+            code, out, _ = run_cli(
+                capsys, "solve", "--problem", *problem, "--input", path,
+                "--output", "json", *extra,
+            )
+            assert code == 0
+            outputs.append(json.loads(out))
+        full, lean = outputs
+        assert lean["assignment"] is None
+        assert (lean["k"], lean["value"]) == (full["k"], full["value"])
+
     def test_timing_flag(self, capsys, instance_file):
         path = instance_file("0\n1\n")
         _, out, _ = run_cli(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -242,7 +243,9 @@ class TestRenderSolution:
             if unconstrained
             else ProblemSpec.min_partition(ci.n // 2)
         )
-        sol = solve(ci, spec, with_assignment=with_assignment)
+        sol = solve(ci, spec)
+        if not with_assignment:
+            sol = replace(sol, profile=None)
         got = render_solution(sol, "json", problem_label=label, elapsed_ns=ns)
         assert got == reference_json(sol, label, ns)
 
@@ -275,7 +278,7 @@ class TestRenderSolution:
 
     def test_value_only(self):
         ci = compress(Instance((0, 5)))
-        sol = solve(ci, ProblemSpec.max_cut(), with_assignment=False)
+        sol = replace(solve(ci, ProblemSpec.max_cut()), profile=None)
         payload = json.loads(render_solution(sol, "json"))
         assert payload["assignment"] is None
         text = render_solution(sol, "text")

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 import linecut
 import linecut.solver as solver
+from linecut.cli import run_verify
 from linecut.errors import InternalInconsistency, InvalidK, UnsupportedProblem
 from linecut.model import (
     Instance,
@@ -23,6 +24,7 @@ from linecut.model import (
 from linecut.oracle import oracle_solve
 from linecut.solver import (
     base_level,
+    fill_diagonal,
     fill_level,
     fill_tables,
     gap_term,
@@ -75,11 +77,11 @@ class TestFillLevel:
         # Instance {0,1,2}: collapsing to two locations 0 and 1, with two
         # extra copies sitting at 1.
         ci = ci_of(0, 1, 2)
-        values, choices = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
+        values = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
         assert values[1][0] == 2
         assert values[0][2] == 2
-        lo, _ = transition_bounds(1, 0, ci.mult[0])
-        assert lo + choices[1][0] == 1
+        # State (1, 0) lies on diagonal 1; its only r0 is 1.
+        assert fill_diagonal(ci, 1, Objective.MAX)[1][0][1] == 1
 
     def test_base_level_zero(self):
         assert base_level(3) == [[0, 0, 0, 0]]
@@ -87,16 +89,17 @@ class TestFillLevel:
     def test_min_objective_differs(self):
         # Level 2 transitions are forced; the first real choice is at level 3.
         ci = ci_of(0, 1, 2)
-        hi = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MAX)[0],
-                        Objective.MAX)[0]
-        lo = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MIN)[0],
-                        Objective.MIN)[0]
+        hi = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MAX),
+                        Objective.MAX)
+        lo = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MIN),
+                        Objective.MIN)
         assert hi[1][0] == 3
         assert lo[1][0] == 2
 
 
-def scalar_fill_level(ci, level, prev, objective):
-    """Reference: the state-by-state scan, storing r0 itself."""
+def scalar_fill_level(ci, level, prev, objective, largest=False):
+    """Reference: the state-by-state scan, storing each state's smallest
+    optimizing r0, or its largest where ``largest`` is true."""
     big = ci.prefix[level - 1]
     m_prev = ci.mult[level - 2]
     gap = ci.xs[level - 1] - ci.xs[level - 2]
@@ -113,7 +116,7 @@ def scalar_fill_level(ci, level, prev, objective):
             br = lo
             for r0 in range(lo + 1, hi + 1):
                 v = prev[p - r0][r0 + r]
-                if (v > best) if maximize else (v < best):
+                if (largest and v == best) or ((v > best) if maximize else (v < best)):
                     best = v
                     br = r0
             vrow[r] = gap_term(gap, p, q, r, rowlen - 1 - r) + best
@@ -121,6 +124,19 @@ def scalar_fill_level(ci, level, prev, objective):
         values.append(vrow)
         choices.append(crow)
     return values, choices
+
+
+def largest_r0_diagonal(ci, k, objective):
+    """``fill_diagonal`` with the opposite tie-break, from the scalar scan."""
+
+    def diagonal(table):
+        return [row[k - p] if k - p < len(row) else 0 for p, row in enumerate(table[: k + 1])]
+
+    table, picks = base_level(ci.n), []
+    for level in range(2, ci.l + 1):
+        table, r0s = scalar_fill_level(ci, level, table, objective, largest=True)
+        picks.append(diagonal(r0s))
+    return diagonal(table), picks
 
 
 distinct_cis = st.lists(
@@ -143,17 +159,32 @@ class TestRowWiseFill:
     @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
     @example(ci_of(*range(0, 30, 3), 0, 9, 9, 27, 27, 27, 27))
     def test_matches_scalar_scan(self, ci):
+        # The rows and, on every diagonal, the re-fill's smallest optimizing r0.
         for objective in Objective:
+            picks = [fill_diagonal(ci, k, objective)[1] for k in range(ci.n + 1)]
             prev = base_level(ci.n)
             for level in range(2, ci.l + 1):
                 want_values, want_r0 = scalar_fill_level(ci, level, prev, objective)
-                values, choices = fill_level(ci, level, prev, objective)
+                values = fill_level(ci, level, prev, objective)
                 assert values == want_values
-                big = ci.prefix[level - 1]
-                for p, row in enumerate(choices):
-                    lo, _ = transition_bounds(p, big - p, ci.mult[level - 2])
-                    assert [lo + c for c in row] == want_r0[p]
+                for p, row in enumerate(want_r0):
+                    for r, r0 in enumerate(row):
+                        assert picks[p + r][level - 2][p] == r0
                 prev = values
+
+    @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
+    @example(ci_of(*range(12)))
+    @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
+    def test_diagonals_match_row_fill(self, ci):
+        # Diagonal k of the top table holds the states (p, k - p).
+        for objective in Objective:
+            top = fill_tables(ci, objective)
+            big = len(top) - 1
+            for k in range(ci.n + 1):
+                values, _ = fill_diagonal(ci, k, objective)
+                feasible = range(max(0, k - (ci.n - big)), min(big, k) + 1)
+                assert len(values) == feasible.stop
+                assert [values[p] for p in feasible] == [top[p][k - p] for p in feasible]
 
     @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
     def test_level_tables_are_centrally_symmetric(self, ci):
@@ -161,34 +192,14 @@ class TestRowWiseFill:
         for objective in Objective:
             table = scalar_table = base_level(ci.n)
             for level in range(2, ci.l + 1):
-                table, _ = fill_level(ci, level, table, objective)
+                table = fill_level(ci, level, table, objective)
                 scalar_table, _ = scalar_fill_level(ci, level, scalar_table, objective)
                 for values in (table, scalar_table):
                     big = len(values) - 1
                     assert all(
                         values[p] == values[big - p][::-1] for p in range(big + 1)
                     )
-            assert table == fill_tables(ci, objective, False)[0]
-
-    @given(distinct_cis)
-    def test_distinct_input_stores_byte_rows(self, ci):
-        _, choices = fill_tables(ci, Objective.MAX, True)
-        for rows in choices.values():
-            assert all(type(row) is bytes for row in rows)
-
-    @given(duplicate_heavy_cis)
-    def test_duplicate_input_stores_byte_rows(self, ci):
-        # Every window here is narrower than 257, so every offset fits a byte.
-        _, choices = fill_tables(ci, Objective.MIN, True)
-        for rows in choices.values():
-            assert all(type(row) is bytes for row in rows)
-
-    def test_row_type_switches_at_257_wide_windows(self):
-        # Level 3 of m + m + 1 points holds a window of m + 1 entries (p = m).
-        for m, kinds in ((255, {bytes}), (256, {bytes, list})):
-            ci = ci_of(*[0] * m, *[1] * m, 2)
-            _, choices = fill_tables(ci, Objective.MAX, True)
-            assert {type(row) for row in choices[3]} == kinds
+            assert table == fill_tables(ci, objective)
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_all_ties_take_offset_zero(self, objective):
@@ -196,9 +207,9 @@ class TestRowWiseFill:
         ci = ci_of(*[0] * 4, *[1] * 4, 2)
         assert transition_bounds(4, ci.prefix[2] - 4, ci.mult[1]) == (0, 4)
         prev = [[5] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
-        values, choices = fill_level(ci, 3, prev, objective)
-        assert all(type(row) is bytes and not any(row) for row in choices)
-        assert values == scalar_fill_level(ci, 3, prev, objective)[0]
+        assert fill_level(ci, 3, prev, objective) == scalar_fill_level(
+            ci, 3, prev, objective
+        )[0]
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_best_beyond_a_byte_is_stored_in_a_list(self, objective):
@@ -210,16 +221,8 @@ class TestRowWiseFill:
         prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
         prev[20][280] = prev[280][21] = 1 if objective is Objective.MAX else -1
         want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
-        values, choices = fill_level(ci, 3, prev, objective)
-        assert values == want_values
-        big = ci.prefix[2]
-        for p, row in enumerate(choices):
-            lo, hi = transition_bounds(p, big - p, ci.mult[1])
-            assert type(row) is (bytes if hi - lo < 256 else list)
-            assert [lo + c for c in row] == want_r0[p]
-        lo, _ = transition_bounds(300, big - 300, ci.mult[1])
-        assert type(choices[300]) is list
-        assert lo + choices[300][0] == want_r0[300][0] == 280
+        assert want_r0[300][0] == 280
+        assert fill_level(ci, 3, prev, objective) == want_values
 
     @pytest.mark.parametrize(
         "spec",
@@ -232,21 +235,8 @@ class TestRowWiseFill:
         want = oracle_solve(ci, spec)
         assert (got.value, got.profile) == (want.value, want.profile)
 
-    @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
-    def test_value_only_mode_builds_no_choices(self, ci):
-        for objective in Objective:
-            top, choices = fill_tables(ci, objective, True)
-            lean_top, lean_choices = fill_tables(ci, objective, False)
-            assert lean_top == top
-            assert lean_choices is None
-            if ci.l >= 2:
-                assert fill_level(ci, 2, base_level(ci.n), objective, False)[1] is None
-
-    @pytest.mark.parametrize("want_choices", [True, False])
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_distinct_input_calls_no_max_or_min(
-        self, monkeypatch, objective, want_choices
-    ):
+    def test_distinct_input_calls_no_max_or_min(self, monkeypatch, objective):
         # All-distinct input has windows of at most two entries, and those
         # rows are built by comparisons, never by a max()/min() per state.
         calls = []
@@ -262,10 +252,10 @@ class TestRowWiseFill:
         monkeypatch.setattr(solver, "max", counting(max), raising=False)
         monkeypatch.setattr(solver, "min", counting(min), raising=False)
         for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
-            fill_tables(ci_of(*xs), objective, want_choices)
+            fill_tables(ci_of(*xs), objective)
         assert calls == []
         # A three-entry window (level 3, p = 2) does reach the wrappers.
-        fill_tables(ci_of(0, 0, 1, 1, 2), objective, want_choices)
+        fill_tables(ci_of(0, 0, 1, 1, 2), objective)
         assert calls
 
     def test_shifted_window_is_detected_on_distinct_input(
@@ -282,22 +272,23 @@ class TestRowWiseFill:
 class TestScanRoots:
     def test_unconstrained(self):
         ci = ci_of(0, 1, 2)
-        top, _ = fill_tables(ci, Objective.MAX, True)
-        root, value = scan_roots(ci, top, ProblemSpec.max_cut())
+        top = fill_tables(ci, Objective.MAX)
+        sizes, value = scan_roots(ci, top, ProblemSpec.max_cut())
         assert value == 3
+        assert sizes == [1, 2]
 
     def test_exact_k(self):
         ci = ci_of(0, 1, 2, 3)
-        top_max, _ = fill_tables(ci, Objective.MAX, True)
+        top_max = fill_tables(ci, Objective.MAX)
         _, v_max = scan_roots(ci, top_max, ProblemSpec.max_partition(2))
         assert v_max == 8
-        top_min, _ = fill_tables(ci, Objective.MIN, False)
+        top_min = fill_tables(ci, Objective.MIN)
         _, v_min = scan_roots(ci, top_min, ProblemSpec.min_partition(2))
         assert v_min == 6
 
     def test_bad_k(self):
         ci = ci_of(0, 1)
-        top, _ = fill_tables(ci, Objective.MAX, True)
+        top = fill_tables(ci, Objective.MAX)
         with pytest.raises(InvalidK):
             scan_roots(ci, top, ProblemSpec.max_partition(5))
 
@@ -331,15 +322,6 @@ class TestSolve:
     def test_min_unconstrained_rejected(self):
         with pytest.raises(UnsupportedProblem):
             solve(ci_of(0, 1), ProblemSpec(Objective.MIN, None))
-
-    def test_value_only_mode(self):
-        ci = ci_of(0, 3, 3, 7, 9)
-        for spec in (ProblemSpec.max_cut(), ProblemSpec.min_partition(2)):
-            full = solve(ci, spec)
-            lean = solve(ci, spec, with_assignment=False)
-            assert lean.profile is None
-            assert lean.value == full.value
-            assert lean.k_actual == full.k_actual
 
     def test_deterministic(self):
         ci = ci_of(0, 0, 2, 5, 5, 9)
@@ -379,6 +361,25 @@ class TestSolve:
         for k in range(ci.n + 1):
             assert solve(ci, ProblemSpec.max_partition(k)).value <= unc
 
+    @given(st.one_of(compressed_instances(max_n=10), duplicate_heavy_cis))
+    @example(ci_of(0, 1, 2, 3))
+    @example(ci_of(*range(0, 30, 3), 0, 9, 9, 27))
+    def test_matches_oracle(self, ci):
+        # Value and profile: the lexicographically smallest optimal profile.
+        for spec in ALL_SPECS(ci.n):
+            got, want = solve(ci, spec), oracle_solve(ci, spec)
+            assert (got.value, got.profile) == (want.value, want.profile)
+
+    def test_largest_r0_tie_break_fails_the_oracle_check(self, monkeypatch):
+        ci = ci_of(0, 1, 2, 3)
+        assert solve(ci, ProblemSpec.min_partition(2)).profile == (0, 1, 0, 1)
+        assert run_verify(6, 20, 0).ok
+        monkeypatch.setattr(solver, "fill_diagonal", largest_r0_diagonal)
+        assert solve(ci, ProblemSpec.min_partition(2)).profile == (0, 1, 1, 0)
+        report = run_verify(6, 20, 0)
+        assert not report.ok
+        assert "profile" in report.first_failure.detail
+
     @given(compressed_instances(max_n=10))
     def test_unconstrained_canonical_side(self, ci):
         profile = solve(ci, ProblemSpec.max_cut()).profile
@@ -389,11 +390,9 @@ class TestImplementations:
     @given(compressed_instances(max_n=8, coord=wide_coords))
     def test_wide_coords_use_big_ints(self, ci):
         # Coordinates up to 2^40 in magnitude: values must stay exact.
-        # Profiles are not compared, because the solver's tie-break is not
-        # the oracle's.
         for spec in (ProblemSpec.max_cut(), ProblemSpec.min_partition(ci.n // 2)):
-            got = solve(ci, spec)
-            assert got.value == oracle_solve(ci, spec).value
+            got, want = solve(ci, spec), oracle_solve(ci, spec)
+            assert (got.value, got.profile) == (want.value, want.profile)
             assert cut_value_naive(ci, got.profile) == got.value
 
 
@@ -420,5 +419,9 @@ class TestFaultHook:
         ci = ci_of(0, 0, 0, 1)
         with pytest.raises(InternalInconsistency):
             solve(ci, ProblemSpec.max_cut())
+        # The diagonal re-fill sees the shifted window too.
+        with pytest.raises(InternalInconsistency):
+            solver.reconstruct(ci, 2, Objective.MAX, 2)
         monkeypatch.undo()
+        assert solver.reconstruct(ci, 2, Objective.MAX, 2) == (1, 1)
         assert solve(ci, ProblemSpec.max_cut()).value == 3
