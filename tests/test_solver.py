@@ -235,10 +235,13 @@ class TestRowWiseFill:
         want = oracle_solve(ci, spec)
         assert (got.value, got.profile) == (want.value, want.profile)
 
+    # reflected: the coordinates negated, as reconstruct sees the instance.
+    @pytest.mark.parametrize("reflected", [True, False])
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_distinct_input_calls_no_max_or_min(self, monkeypatch, objective):
+    def test_distinct_input_calls_no_max_or_min(self, monkeypatch, objective, reflected):
         # All-distinct input has windows of at most two entries, and those
         # rows are built by comparisons, never by a max()/min() per state.
+        sign = -1 if reflected else 1
         calls = []
 
         def counting(builtin):
@@ -252,10 +255,10 @@ class TestRowWiseFill:
         monkeypatch.setattr(solver, "max", counting(max), raising=False)
         monkeypatch.setattr(solver, "min", counting(min), raising=False)
         for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
-            fill_tables(ci_of(*xs), objective)
+            fill_tables(ci_of(*[sign * x for x in xs]), objective)
         assert calls == []
         # A three-entry window (level 3, p = 2) does reach the wrappers.
-        fill_tables(ci_of(0, 0, 1, 1, 2), objective)
+        fill_tables(ci_of(*[sign * x for x in (0, 0, 1, 1, 2, 2)]), objective)
         assert calls
 
     def test_shifted_window_is_detected_on_distinct_input(
