@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
+from . import oracle
 from .errors import LinecutError, InternalInconsistency
 from .formats import parse_instance, render_instance, render_solution
 from .gen import GenKind, GenSpec, SplitMix64, derive_seed, generate
@@ -34,7 +35,6 @@ from .model import (
     compress,
     cut_value_naive,
 )
-from .oracle import oracle_solve
 from .solver import solve
 
 BENCH_MIN_SIZE = 50
@@ -134,7 +134,7 @@ def _verify_trial(idx: int, n_max: int, seed: int) -> tuple[int, list[VerifyFail
         label = _spec_label(spec)
         try:
             got = solve(ci, spec)
-            want = oracle_solve(ci, spec)
+            want = oracle.oracle_solve(ci, spec)
         except LinecutError as exc:
             fail(label, f"exception: {exc}")
             continue
@@ -157,6 +157,14 @@ def run_verify(n_max: int, trials: int, seed: int) -> VerifyReport:
     """Compare solve against the oracle on seeded instances, every problem each."""
     if n_max < 1:
         raise LinecutError(f"n_max must be >= 1, got {n_max}")
+    # n_max distinct points have 2**n_max profiles, more than the oracle's cap
+    # exactly when n_max >= cap.bit_length(); such trials would fail in the
+    # oracle, not in the solver.
+    if n_max >= oracle.PROFILE_CAP.bit_length():
+        raise LinecutError(
+            f"n_max={n_max} needs up to 2**{n_max} oracle profiles, "
+            f"over the cap of {oracle.PROFILE_CAP}"
+        )
     if trials < 1:
         raise LinecutError(f"trials must be >= 1, got {trials}")
     checks = 0
@@ -289,7 +297,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, ci.n)
     t0 = time.perf_counter_ns()
     if args.command == "oracle":
-        sol = oracle_solve(ci, spec)
+        sol = oracle.oracle_solve(ci, spec)
     else:
         sol = solve(ci, spec)
         if args.no_assignment:

@@ -24,7 +24,7 @@ from .model import (
 
 # ASCII digits only: \d and str.isdigit() also pass digits such as "１" or
 # "٣", which int() reads as 1 and 3, and "³", which int() rejects.
-_NUMBER_RE = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?\Z")
+_NUMBER_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?\Z")
 _MULT_RE = re.compile(r"[0-9]+\Z")
 # int() refuses digit strings longer than sys.get_int_max_str_digits(), so
 # significant digits are counted first: a number with more digits than the
@@ -42,22 +42,9 @@ def _excerpt(text: str) -> str:
     return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
-def _split_decimal(token: str) -> tuple[int, str, str]:
-    """Break a validated decimal literal into (sign, whole, fraction)."""
-    sign = 1
-    body = token
-    if body[0] in "+-":
-        if body[0] == "-":
-            sign = -1
-        body = body[1:]
-    whole, _, frac = body.partition(".")
-    # Trailing zeros carry no information, so "1.50" needs one digit, not two.
-    return sign, whole, frac.rstrip("0")
-
-
 def parse_instance(text: str) -> Instance:
     """Read instance text into an ``Instance`` with a shared fixed-point scale."""
-    rows: list[tuple[int, int, str, str, int]] = []  # line_no, sign, whole, frac, mult
+    rows: list[tuple[int, str, str, str, int]] = []  # line_no, sign, whole, frac, mult
     scale = 0
     total = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -69,7 +56,8 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(
                 line_no, f"expected 'value [multiplicity]', got {_excerpt(raw)}"
             )
-        if not _NUMBER_RE.match(fields[0]):
+        number = _NUMBER_RE.match(fields[0])
+        if not number:
             raise ParseError(line_no, f"bad decimal literal {_excerpt(fields[0])}")
         mult = 1
         if len(fields) == 2:
@@ -86,7 +74,9 @@ def parse_instance(text: str) -> Instance:
             raise RangeError(
                 f"line {line_no}: the instance has more than {MAX_POINTS} points"
             )
-        sign, whole, frac = _split_decimal(fields[0])
+        sign, whole, frac = number.groups("")
+        # Trailing zeros carry no information, so "1.50" needs one digit, not two.
+        frac = frac.rstrip("0")
         if len(frac) > MAX_SCALE_EXP:
             raise PrecisionError(
                 f"line {line_no}: {_excerpt(fields[0])} needs {len(frac)} fractional "
@@ -103,7 +93,7 @@ def parse_instance(text: str) -> Instance:
                 f"line {line_no}: coordinate with {len(digits)} significant digits "
                 f"at scale 10^-{scale} exceeds the supported range"
             )
-        scaled = sign * int(digits or "0")
+        scaled = int(sign + (digits or "0"))
         if abs(scaled) > MAX_ABS_COORD:
             raise RangeError(
                 f"line {line_no}: coordinate magnitude {abs(scaled)} at scale "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidGenSpec
-from .model import MAX_ABS_COORD, Instance
+from .model import MAX_ABS_COORD, MAX_POINTS, Instance
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,8 +74,8 @@ class GenSpec:
     def __post_init__(self):
         if not isinstance(self.kind, GenKind):
             raise InvalidGenSpec(f"unknown generator kind: {self.kind!r}")
-        if self.n < 1:
-            raise InvalidGenSpec(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_POINTS:
+            raise InvalidGenSpec(f"n must be in [1, {MAX_POINTS}], got {self.n}")
         if self.span < 1:
             raise InvalidGenSpec(f"span must be >= 1, got {self.span}")
         # Clustered points can overshoot [0, span] by the cluster radius.
@@ -93,8 +93,11 @@ class GenSpec:
         if self.clusters is not None:
             if self.kind is not GenKind.CLUSTERED:
                 raise InvalidGenSpec("clusters applies to CLUSTERED only")
-            if self.clusters < 1:
-                raise InvalidGenSpec(f"clusters must be >= 1, got {self.clusters}")
+            # More clusters than points is allowed; some centres then go unused.
+            if not 1 <= self.clusters <= MAX_POINTS:
+                raise InvalidGenSpec(
+                    f"clusters must be in [1, {MAX_POINTS}], got {self.clusters}"
+                )
 
 
 def _composition(rng: SplitMix64, total: int, parts: int) -> list[int]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -115,32 +116,32 @@ class Instance:
 
 @dataclass(frozen=True)
 class CompressedInstance:
-    """Sorted distinct coordinates with multiplicities and prefix counts.
+    """Sorted distinct coordinates with multiplicities.
 
-    ``xs`` is strictly increasing.  ``prefix[i]`` counts the points at the
-    first i distinct coordinates, so ``prefix[0] == 0`` and ``prefix[l] == n``.
+    ``xs`` is strictly increasing.  ``prefix`` and ``n`` are derived:
+    ``prefix[i]`` counts the points at the first i distinct coordinates, so
+    ``prefix[0] == 0`` and ``prefix[l] == n``.
     """
 
     xs: tuple[int, ...]
     mult: tuple[int, ...]
-    prefix: tuple[int, ...]
-    n: int
     scale_exp: int = 0
+    prefix: tuple[int, ...] = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         l = len(self.xs)
         ok = (
             l >= 1
             and len(self.mult) == l
-            and len(self.prefix) == l + 1
-            and self.prefix[0] == 0
             and all(m >= 1 for m in self.mult)
-            and all(self.prefix[i + 1] == self.prefix[i] + self.mult[i] for i in range(l))
-            and self.prefix[l] == self.n
             and all(b > a for a, b in zip(self.xs, self.xs[1:]))
         )
         if not ok:
             raise InternalInconsistency("compressed instance fields are inconsistent")
+        prefix = (0, *accumulate(self.mult))
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "n", prefix[-1])
 
     @property
     def l(self) -> int:
@@ -151,16 +152,8 @@ def compress(instance: Instance) -> CompressedInstance:
     """Group an instance into sorted distinct values with multiplicities."""
     counts = Counter(instance.scaled)
     xs = tuple(sorted(counts))
-    mult = tuple(counts[x] for x in xs)
-    prefix = [0]
-    for m in mult:
-        prefix.append(prefix[-1] + m)
     return CompressedInstance(
-        xs=xs,
-        mult=mult,
-        prefix=tuple(prefix),
-        n=instance.n,
-        scale_exp=instance.scale_exp,
+        xs=xs, mult=tuple([counts[x] for x in xs]), scale_exp=instance.scale_exp
     )
 
 

@@ -237,13 +237,10 @@ def reconstruct(
     coordinate; each step down takes the state's smallest optimizing r0, the
     count at the next coordinate, and moves to state (p - r0, k - p + r0).
     """
-    # Tuples from lists, not generators: a tuple built from a generator is
+    # A tuple from a list, not a generator: a tuple built from a generator is
     # resized, and each call would leave one more block on the tuple free list.
     mirror = CompressedInstance(
-        xs=tuple([-x for x in reversed(ci.xs)]),
-        mult=ci.mult[::-1],
-        prefix=tuple([ci.n - c for c in reversed(ci.prefix)]),
-        n=ci.n,
+        xs=tuple([-x for x in reversed(ci.xs)]), mult=ci.mult[::-1]
     )
     values, picks = fill_diagonal(mirror, k, objective)
     better = max if objective is Objective.MAX else min

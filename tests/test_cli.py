@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import linecut.cli as cli
+import linecut.oracle as oracle
 from linecut.cli import (
     BenchRecord,
     dispatch,
@@ -311,6 +312,19 @@ class TestVerify:
             run_verify(0, 5, 1)
         with pytest.raises(LinecutError):
             run_verify(5, 0, 1)
+
+    def test_n_max_past_the_oracle_cap_refused(self, capsys, monkeypatch):
+        # 2**23 all-distinct profiles exceed the oracle's cap of 2**22.
+        with pytest.raises(LinecutError):
+            run_verify(23, 1, 0)
+        code, out, err = run_cli(capsys, "verify", "--n-max", "23", "--trials", "1")
+        assert (code, out) == (1, "")
+        assert "cap" in err
+        # The cap is read at call time.
+        monkeypatch.setattr(oracle, "PROFILE_CAP", 16)
+        assert run_verify(4, 3, 0).ok
+        with pytest.raises(LinecutError):
+            run_verify(5, 1, 0)
 
 
 class TestBench:

@@ -56,6 +56,32 @@ class TestParse:
         assert inst.scale_exp == 1
         assert sorted(inst.scaled) == [-5, 40]
 
+    @pytest.mark.parametrize(
+        "literal, scaled, scale_exp",
+        [
+            ("+7", 7, 0),
+            ("-7", -7, 0),
+            ("+0", 0, 0),
+            ("-0", 0, 0),
+            ("-0.0", 0, 0),
+            ("+0.000", 0, 0),
+            ("-0.50", -5, 1),
+            ("007", 7, 0),
+            ("-000.250", -25, 2),
+            ("+000000000000001.5", 15, 1),
+            ("1.2300", 123, 2),
+            ("3.000000000000", 3, 0),
+            ("0.000000001", 1, 9),
+            ("1099511627776", 1099511627776, 0),
+            ("-1099511627776", -1099511627776, 0),
+            ("-10995116.27776", -1099511627776, 5),
+            ("109951.1627776", 1099511627776, 7),
+        ],
+    )
+    def test_literal_table(self, literal, scaled, scale_exp):
+        inst = parse_instance(f"{literal}\n")
+        assert (inst.scaled, inst.scale_exp) == ((scaled,), scale_exp)
+
     def test_malformed_line_number(self):
         with pytest.raises(ParseError) as err:
             parse_instance("1\n2\nx7\n")

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from linecut.errors import InvalidGenSpec
 from linecut.formats import render_instance
 from linecut.gen import GenKind, GenSpec, SplitMix64, _composition, derive_seed, generate
-from linecut.model import compress
+from linecut.model import MAX_POINTS, compress
 
 # Digest of the canonical rendering of (uniform, n=100, span=10^6, seed=42),
 # frozen from the first run; any drift in the PRNG or rendering breaks this.
@@ -43,6 +43,11 @@ class TestGenSpecValidation:
     def test_bad_n(self):
         with pytest.raises(InvalidGenSpec):
             GenSpec(GenKind.UNIFORM, 0, 10, 1)
+        GenSpec(GenKind.UNIFORM, MAX_POINTS, 10, 1)
+        with pytest.raises(InvalidGenSpec):
+            GenSpec(GenKind.UNIFORM, MAX_POINTS + 1, 10, 1)
+        with pytest.raises(InvalidGenSpec):
+            GenSpec(GenKind.UNIFORM, 10**12, 10, 0)
 
     def test_bad_span(self):
         with pytest.raises(InvalidGenSpec):
@@ -69,6 +74,13 @@ class TestGenSpecValidation:
         GenSpec(GenKind.CLUSTERED, 5, 10**6, 1, clusters=2)
         with pytest.raises(InvalidGenSpec):
             GenSpec(GenKind.CLUSTERED, 5, 10**6, 1, clusters=0)
+        # More clusters than points stays legal; verify draws such specs.
+        GenSpec(GenKind.CLUSTERED, 1, 10, 0, clusters=4)
+        GenSpec(GenKind.CLUSTERED, 1, 10, 0, clusters=MAX_POINTS)
+        with pytest.raises(InvalidGenSpec):
+            GenSpec(GenKind.CLUSTERED, 1, 10, 0, clusters=MAX_POINTS + 1)
+        with pytest.raises(InvalidGenSpec):
+            GenSpec(GenKind.CLUSTERED, 1, 10, 0, clusters=10**12)
         with pytest.raises(InvalidGenSpec):
             GenSpec(GenKind.UNIFORM, 5, 10**6, 1, clusters=2)
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import linecut.solver as solver
 from linecut.errors import (
     InstanceEmpty,
+    InternalInconsistency,
     InvalidK,
     InvalidProfile,
     RangeError,
@@ -91,6 +93,41 @@ class TestCompress:
             x for x, m in zip(ci.xs, ci.mult) for _ in range(m)
         )
         assert rebuilt == sorted(inst.scaled)
+
+
+class TestCompressedInstance:
+    def test_prefix_and_n_are_derived(self):
+        ci = CompressedInstance(xs=(0, 2), mult=(1, 3))
+        assert ci.prefix == (0, 1, 4)
+        assert ci.n == 4
+        with pytest.raises(TypeError):
+            CompressedInstance(xs=(0, 2), mult=(1, 3), prefix=(0, 1, 4), n=4)
+
+    @pytest.mark.parametrize(
+        "xs, mult",
+        [((), ()), ((0, 1), (1,)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((1, 0), (1, 1))],
+        ids=["empty", "length-mismatch", "zero-multiplicity", "repeated", "decreasing"],
+    )
+    def test_inconsistent_fields_rejected(self, xs, mult):
+        with pytest.raises(InternalInconsistency):
+            CompressedInstance(xs=xs, mult=mult)
+
+    @given(instances(max_n=10, coord=wide_coords))
+    def test_reflection_equals_compress_of_negated(self, inst):
+        # The instance reconstruct re-fills, caught on its way to fill_diagonal.
+        seen = []
+        exact = solver.fill_diagonal
+
+        def spy(ci, k, objective):
+            seen.append(ci)
+            return exact(ci, k, objective)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "fill_diagonal", spy)
+            solver.solve(compress(inst), ProblemSpec.max_cut())
+        assert seen
+        negated = compress(Instance(tuple([-x for x in inst.scaled])))
+        assert all(mirror == negated for mirror in seen)
 
 
 class TestProblemSpec:

@@ -202,7 +202,7 @@ class TestRowWiseFill:
             assert table == fill_tables(ci, objective)
 
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_all_ties_take_offset_zero(self, objective):
+    def test_all_tied_wide_window_fills_values(self, objective):
         # State p = 4 of level 3 has the 5-wide window r0 = 0..4.
         ci = ci_of(*[0] * 4, *[1] * 4, 2)
         assert transition_bounds(4, ci.prefix[2] - 4, ci.mult[1]) == (0, 4)
@@ -212,7 +212,7 @@ class TestRowWiseFill:
         )[0]
 
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_best_beyond_a_byte_is_stored_in_a_list(self, objective):
+    def test_best_far_into_a_wide_window_fills_values(self, objective):
         # State (p, r) = (300, 0) of level 3 sees r0 = 0..300; the only
         # distinct candidate is prev[20][280], reached through r0 = 280.
         # Its mirror prev[280][21] keeps prev centrally symmetric, as
@@ -235,7 +235,7 @@ class TestRowWiseFill:
         want = oracle_solve(ci, spec)
         assert (got.value, got.profile) == (want.value, want.profile)
 
-    # reflected: the coordinates negated, as reconstruct sees the instance.
+    # reflected: the row fill run on the same coordinates negated.
     @pytest.mark.parametrize("reflected", [True, False])
     @pytest.mark.parametrize("objective", list(Objective))
     def test_distinct_input_calls_no_max_or_min(self, monkeypatch, objective, reflected):
