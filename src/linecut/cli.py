@@ -29,6 +29,7 @@ from .errors import LinecutError, InternalInconsistency
 from .formats import parse_instance, render_instance, render_solution
 from .gen import GenKind, GenSpec, SplitMix64, derive_seed, generate
 from .model import (
+    CompressedInstance,
     Instance,
     Objective,
     ProblemSpec,
@@ -122,12 +123,11 @@ def _verify_problems(n: int) -> list[ProblemSpec]:
 def _verify_trial(idx: int, n_max: int, seed: int) -> tuple[int, list[VerifyFailure]]:
     inst = _verify_instance(n_max, seed, idx)
     ci = compress(inst)
-    text = render_instance(inst)
     checks = 0
     failures: list[VerifyFailure] = []
 
     def fail(problem: str, detail: str) -> None:
-        failures.append(VerifyFailure(idx, problem, detail, text))
+        failures.append(VerifyFailure(idx, problem, detail, render_instance(inst)))
 
     for spec in _verify_problems(ci.n):
         checks += 1
@@ -196,15 +196,15 @@ class BenchRecord(NamedTuple):
     value: int
 
 
-def _distinct_uniform(n: int, seed: int, trial: int) -> tuple[Instance, GenSpec]:
-    """Uniform instance with all points distinct; deterministic retry on collision."""
+def _distinct_uniform(n: int, seed: int, trial: int) -> tuple[CompressedInstance, GenSpec]:
+    """Compressed uniform instance, all points distinct; deterministic retry on collision."""
     for attempt in range(64):
         gspec = GenSpec(
             GenKind.UNIFORM, n, BENCH_SPAN, derive_seed(seed, n, trial, attempt)
         )
-        inst = generate(gspec)
-        if compress(inst).l == n:
-            return inst, gspec
+        ci = compress(generate(gspec))
+        if ci.l == n:
+            return ci, gspec
     raise LinecutError(f"could not draw {n} distinct points from span {BENCH_SPAN}")
 
 
@@ -236,8 +236,7 @@ def run_bench(
         spec = ProblemSpec.bisection(Objective.MAX, size)
         times: list[int] = []
         for trial in range(trials):
-            inst, gspec = _distinct_uniform(size, seed, trial)
-            ci = compress(inst)
+            ci, gspec = _distinct_uniform(size, seed, trial)
             t0 = time.perf_counter_ns()
             sol = solve(ci, spec)
             elapsed = max(1, time.perf_counter_ns() - t0)

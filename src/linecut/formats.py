@@ -1,9 +1,10 @@
 """Instance text format and solution rendering.
 
 Instance files are UTF-8 text, one point per line as ``<decimal>`` or
-``<decimal> <multiplicity>``.  ``#`` starts a comment; blank lines are
-skipped.  Decimals are stored as integers at a shared power-of-ten scale, so
-parsing and rendering are exact (no floats anywhere).
+``<decimal> <multiplicity>``; a leading byte-order mark is ignored.  ``#``
+starts a comment; blank lines are skipped.  Decimals are stored as integers
+at a shared power-of-ten scale, so parsing and rendering are exact (no
+floats anywhere).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def parse_instance(text: str) -> Instance:
     rows: list[tuple[int, str, str, str, int]] = []  # line_no, sign, whole, frac, mult
     scale = 0
     total = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -46,16 +46,6 @@ from .model import (
 )
 
 
-def gap_term(gap: int, p: int, q: int, r: int, t: int) -> int:
-    """Exact cut-value change when a level collapses onto its left neighbour.
-
-    p/q count first/second-set points left of the gap, r/t first/second-set
-    points at or beyond it; each of the p*t + q*r crossing pairs stretches by
-    the gap length.
-    """
-    return gap * (p * t + q * r)
-
-
 def transition_bounds(p: int, q: int, m_prev: int) -> tuple[int, int]:
     """Feasible counts r0 of the previous coordinate's copies in the first set.
 
@@ -122,7 +112,7 @@ def fill_level(
             raise InternalInconsistency(
                 f"empty transition window at level {level}, state p={p}, q={q}"
             )
-        # gap_term(gap, p, q, r, rowlen - 1 - r) = start + step * r
+        # gap * (p * t + q * r) with t = rowlen - 1 - r is start + step * r
         start = gap * p * (rowlen - 1)
         step = gap * (q - p)
         terms = (
@@ -205,7 +195,8 @@ def fill_diagonal(
         big = ci.prefix[level - 1]
         m_prev = ci.mult[level - 2]
         gap = ci.xs[level - 1] - ci.xs[level - 2]
-        p_lo = max(0, k - (n - big))
+        slack = n - big - k  # state (p, k - p) has t = slack + p
+        p_lo = max(0, -slack)
         row = [0] * p_lo
         pick = [0] * p_lo
         for p in range(p_lo, min(big, k) + 1):
@@ -220,7 +211,7 @@ def fill_diagonal(
             window.reverse()
             best = better(window)
             pick.append(lo + window.index(best))
-            row.append(gap_term(gap, p, q, k - p, n - big - k + p) + best)
+            row.append(gap * (p * (slack + p) + q * (k - p)) + best)
         values = row
         picks.append(pick)
     return values, picks

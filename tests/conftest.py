@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 import linecut.solver as solver
-from linecut.model import Instance, compress
+from linecut.model import CompressedInstance, Instance, Objective, ProblemSpec, compress
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -38,6 +38,17 @@ def faulty_transition(monkeypatch):
         return lo + 1, hi
 
     monkeypatch.setattr(solver, "transition_bounds", shifted)
+
+
+def ci_of(*xs: int, scale: int = 0) -> CompressedInstance:
+    return compress(Instance(tuple(xs), scale))
+
+
+def all_specs(n: int) -> list[ProblemSpec]:
+    """Max-cut plus max- and min-partition at every size 0..n."""
+    return [ProblemSpec.max_cut()] + [
+        ProblemSpec(o, k) for o in Objective for k in range(n + 1)
+    ]
 
 
 small_coords = st.integers(min_value=-50, max_value=50)

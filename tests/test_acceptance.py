@@ -29,6 +29,7 @@ from linecut.cli import run_bench, run_verify
 from linecut.solver import solve
 
 import conftest
+from conftest import ci_of
 
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:
@@ -36,10 +37,6 @@ def check(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"criterion {num} ({name}): {verdict} [{detail}]"
     conftest.ACCEPTANCE_LINES.append(line)
     assert ok, line
-
-
-def ci_of(*xs: int):
-    return compress(Instance(tuple(xs)))
 
 
 _KINDS = (GenKind.UNIFORM, GenKind.DUPLICATES, GenKind.CLUSTERED)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -162,6 +163,17 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_byte_order_mark_file(self, capsys, tmp_path):
+        # A UTF-8 byte-order mark before the first line changes nothing.
+        outs = []
+        for name, prefix in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(prefix + b"0\n1\n2.5 2\n")
+            code, out, err = run_cli(capsys, "solve", "--problem", "max-cut", "--input", str(path))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--problem", "max-cut", "--frobnicate")
         assert code == 2
@@ -307,6 +319,18 @@ class TestVerify:
         assert code == 1
         assert "first counterexample" in out
 
+    def test_value_mismatch_is_reported(self, monkeypatch):
+        # A solver whose value is off by one, with the oracle's own profile.
+        def off_by_one(ci, spec):
+            sol = oracle.oracle_solve(ci, spec)
+            return replace(sol, value=sol.value + 1)
+
+        monkeypatch.setattr(cli, "solve", off_by_one)
+        report = run_verify(4, 3, 0)
+        assert not report.ok
+        assert report.first_failure.detail.startswith("solver value")
+        assert report.first_failure.instance_text
+
     def test_bad_params(self):
         with pytest.raises(LinecutError):
             run_verify(0, 5, 1)
@@ -374,6 +398,8 @@ class TestBench:
             run_bench([50, 61], 1, 0)  # odd size
         with pytest.raises(LinecutError):
             run_bench([50], 1, 0)  # cannot fit slope
+        with pytest.raises(LinecutError):
+            run_bench([50, 60], 0, 0)  # no trials
 
     def test_record_field_order(self):
         rec = BenchRecord(50, 50, "uniform", 1, "max-bisection", 10, 99)

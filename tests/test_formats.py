@@ -188,6 +188,24 @@ class TestParse:
         assert quoted in str(err.value)
         assert "characters)" not in str(err.value)
 
+    def test_leading_byte_order_mark_is_ignored(self):
+        assert parse_instance("\ufeff0\n1.5 2\n") == parse_instance("0\n1.5 2\n")
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("\ufeff\ufeff0\n", 1),  # only one leading mark is dropped
+            ("0\ufeff\n", 1),
+            ("0\n\ufeff1\n", 2),
+            ("0\n1 \ufeff2\n", 2),  # in the multiplicity column
+        ],
+        ids=["second", "trailing", "later-line", "multiplicity"],
+    )
+    def test_byte_order_mark_elsewhere_is_refused(self, text, line_no):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == line_no
+
     def test_zero_padding_is_accepted(self):
         pad = "0" * 5000
         inst = parse_instance(f"{pad}1 {pad}2\n-{pad}3.50\n")

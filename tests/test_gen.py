@@ -40,6 +40,10 @@ class TestSplitMix64:
 
 
 class TestGenSpecValidation:
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidGenSpec):
+            GenSpec("uniform", 5, 10, 0)
+
     def test_bad_n(self):
         with pytest.raises(InvalidGenSpec):
             GenSpec(GenKind.UNIFORM, 0, 10, 1)

@@ -26,11 +26,7 @@ from linecut.model import (
     validate_profile,
 )
 
-from conftest import compressed_with_profile, instances, wide_coords
-
-
-def ci_of(*xs: int, scale: int = 0) -> CompressedInstance:
-    return compress(Instance(tuple(xs), scale))
+from conftest import ci_of, compressed_with_profile, instances, wide_coords
 
 
 class TestInstance:

@@ -10,27 +10,15 @@ from hypothesis import given
 import linecut.oracle as oracle
 from linecut.errors import InternalInconsistency, TooLargeForOracle, UnsupportedProblem
 from linecut.model import (
-    Instance,
     Objective,
     ProblemSpec,
-    compress,
     cut_value_naive,
     cut_value_sweep,
 )
 from linecut.oracle import best_threshold, oracle_solve, profile_space
 from linecut.solver import solve
 
-from conftest import compressed_instances, wide_coords
-
-
-def ci_of(*xs: int):
-    return compress(Instance(tuple(xs)))
-
-
-def all_specs(n):
-    return [ProblemSpec.max_cut()] + [
-        ProblemSpec(o, k) for o in Objective for k in range(n + 1)
-    ]
+from conftest import all_specs, ci_of, compressed_instances, wide_coords
 
 
 class TestOracleSolve:

@@ -13,10 +13,8 @@ import linecut.solver as solver
 from linecut.cli import run_verify
 from linecut.errors import InternalInconsistency, InvalidK, UnsupportedProblem
 from linecut.model import (
-    Instance,
     Objective,
     ProblemSpec,
-    compress,
     complement_profile,
     cut_value_naive,
     cut_value_sweep,
@@ -27,29 +25,12 @@ from linecut.solver import (
     fill_diagonal,
     fill_level,
     fill_tables,
-    gap_term,
     scan_roots,
     solve,
     transition_bounds,
 )
 
-from conftest import compressed_instances, instances, wide_coords
-
-
-def ci_of(*xs: int) -> "CompressedInstance":
-    return compress(Instance(tuple(xs)))
-
-
-ALL_SPECS = lambda n: [ProblemSpec.max_cut()] + [
-    ProblemSpec(o, k) for o in Objective for k in range(n + 1)
-]
-
-
-class TestGapTerm:
-    def test_examples(self):
-        assert gap_term(1, 1, 0, 0, 2) == 2
-        assert gap_term(7, 0, 0, 3, 4) == 0
-        assert gap_term(2, 2, 1, 1, 3) == 14
+from conftest import all_specs, ci_of, compressed_instances, wide_coords
 
 
 class TestTransitionBounds:
@@ -119,7 +100,7 @@ def scalar_fill_level(ci, level, prev, objective, largest=False):
                 if (largest and v == best) or ((v > best) if maximize else (v < best)):
                     best = v
                     br = r0
-            vrow[r] = gap_term(gap, p, q, r, rowlen - 1 - r) + best
+            vrow[r] = gap * (p * (rowlen - 1 - r) + q * r) + best
             crow[r] = br
         values.append(vrow)
         choices.append(crow)
@@ -318,7 +299,7 @@ class TestSolve:
         assert sol.profile == (0, 0, 0, 0)
 
     def test_single_location(self):
-        for spec in ALL_SPECS(3):
+        for spec in all_specs(3):
             sol = solve(ci_of(5, 5, 5), spec)
             assert sol.value == 0
 
@@ -328,12 +309,12 @@ class TestSolve:
 
     def test_deterministic(self):
         ci = ci_of(0, 0, 2, 5, 5, 9)
-        for spec in ALL_SPECS(6):
+        for spec in all_specs(6):
             assert solve(ci, spec) == solve(ci, spec)
 
     @given(compressed_instances(max_n=10))
     def test_profile_is_consistent(self, ci):
-        for spec in ALL_SPECS(ci.n):
+        for spec in all_specs(ci.n):
             sol = solve(ci, spec)
             assert cut_value_sweep(ci, sol.profile) == sol.value
             assert cut_value_naive(ci, sol.profile) == sol.value
@@ -369,7 +350,7 @@ class TestSolve:
     @example(ci_of(*range(0, 30, 3), 0, 9, 9, 27))
     def test_matches_oracle(self, ci):
         # Value and profile: the lexicographically smallest optimal profile.
-        for spec in ALL_SPECS(ci.n):
+        for spec in all_specs(ci.n):
             got, want = solve(ci, spec), oracle_solve(ci, spec)
             assert (got.value, got.profile) == (want.value, want.profile)
 
@@ -387,6 +368,31 @@ class TestSolve:
     def test_unconstrained_canonical_side(self, ci):
         profile = solve(ci, ProblemSpec.max_cut()).profile
         assert tuple(profile) <= complement_profile(ci, profile)
+
+
+class TestSelfChecks:
+    """``solve`` refuses an optimum its re-fill or its sweep does not confirm."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProblemSpec.max_cut(), ProblemSpec.max_partition(2), ProblemSpec.min_partition(2)],
+        ids=["max-cut", "max-partition", "min-partition"],
+    )
+    def test_row_fill_off_by_one(self, monkeypatch, spec):
+        # Every top-table entry one larger: the diagonal re-fill misses it.
+        exact = solver.fill_tables
+
+        def inflated(ci, objective):
+            return [[v + 1 for v in row] for row in exact(ci, objective)]
+
+        monkeypatch.setattr(solver, "fill_tables", inflated)
+        with pytest.raises(InternalInconsistency):
+            solve(ci_of(0, 1, 2, 3), spec)
+
+    def test_profile_failing_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(solver, "cut_value_sweep", lambda ci, profile: -1)
+        with pytest.raises(InternalInconsistency):
+            solve(ci_of(0, 1, 2, 3), ProblemSpec.max_cut())
 
 
 class TestImplementations:
