@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import oracle
 from .errors import LinecutError, InternalInconsistency
 from .formats import parse_instance, render_instance, render_solution
-from .gen import GenKind, GenSpec, SplitMix64, derive_seed, generate
+from .gen import GenKind, GenSpec, SplitMix64, check_seed, derive_seed, generate
 from .model import (
     CompressedInstance,
     Instance,
@@ -167,6 +167,7 @@ def run_verify(n_max: int, trials: int, seed: int) -> VerifyReport:
         )
     if trials < 1:
         raise LinecutError(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
     checks = 0
     all_failures: list[VerifyFailure] = []
     for idx in range(trials):
@@ -229,6 +230,7 @@ def run_bench(
             raise LinecutError(f"bisection benchmarks need even sizes, got {s}")
     if trials < 1:
         raise LinecutError(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
 
     records: list[BenchRecord] = []
     medians: list[float] = []

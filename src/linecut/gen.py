@@ -44,6 +44,12 @@ class SplitMix64:
                 return u % bound
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside 0..2**64 - 1, which ``SplitMix64`` would alias."""
+    if not 0 <= seed <= _MASK64:
+        raise InvalidGenSpec("seed must fit in 64 bits")
+
+
 def derive_seed(seed: int, *salts: int) -> int:
     """Stable per-trial seed from a master seed and integer salts."""
     rng = SplitMix64(seed)
@@ -81,8 +87,7 @@ class GenSpec:
         # Clustered points can overshoot [0, span] by the cluster radius.
         if self.span + self.span // 1000 > MAX_ABS_COORD:
             raise InvalidGenSpec(f"span {self.span} exceeds the coordinate range")
-        if not 0 <= self.seed <= _MASK64:
-            raise InvalidGenSpec("seed must fit in 64 bits")
+        check_seed(self.seed)
         if self.distinct_target is not None:
             if self.kind is not GenKind.DUPLICATES:
                 raise InvalidGenSpec("distinct_target applies to DUPLICATES only")

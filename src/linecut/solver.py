@@ -7,12 +7,13 @@ set (p) and how many of the points at or collapsed onto that coordinate do
 onto its left neighbour changes the cut value by exactly ``gap * (p*t + q*r)``
 because interval lengths add along the line, so level values can be filled
 bottom-up from a zero base.  Every row is filled at once from shifted slices
-of the previous level, one slice per r0 in the transition window: a
-two-entry window by one comparison per state in a list comprehension, a
-wider one by C builtins over all its slices.  Swapping the two sets maps
-state (p, r) to (q, t) and leaves ``gap * (p*t + q*r)`` unchanged, so every
-level table is centrally symmetric, and only its rows with p <= q are
-computed; each other row is its mirror's, read backwards.
+of the previous level: a one-entry window adds one slice to the gap term,
+and a wider one keeps the better of two slices of a doubling table, each
+the best over a span of the window, by one comparison per state in a list
+comprehension.  Swapping the two sets maps state (p, r) to (q, t) and
+leaves ``gap * (p*t + q*r)`` unchanged, so every level table is centrally
+symmetric, and only its rows with p <= q are computed; each other row is
+its mirror's, read backwards.
 
 The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
@@ -25,10 +26,11 @@ optimal profile of size k.  Max-cut re-fills every size whose diagonal
 reaches the optimum and reports the smallest of their profiles, the profile
 the exhaustive oracle returns too.
 
-Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1) * (m_i+1)``,
-at most on the order of ``n^2 * (n + l)``; the bench harness measures the
-empirical exponent.  Table values are Python integers, so the fill is exact
-for every coordinate span.
+Total work is about half of
+``sum_i (|left_i|+1) * (n-|left_i|+1) * ceil(log2(m_i+1))``, at most on the
+order of ``n^2 * l * log(n/l + 1)``, which is ``n^3`` for all-distinct
+input; the bench harness measures the empirical exponent.  Table values are
+Python integers, so the fill is exact for every coordinate span.
 """
 
 from __future__ import annotations
@@ -80,10 +82,18 @@ def fill_level(
 
     The candidates of a whole row are shifted slices of ``prev``, one per r0
     in the window, and the gap term is an arithmetic progression in r.  A
-    one-entry window adds the two with ``map``; a two-entry window keeps
-    the better of its two slices by one comparison per state in a list
-    comprehension; a wider window takes ``max``/``min`` over all its slices
-    at once.
+    one-entry window adds the two with ``map``.  A wider one is answered
+    from a doubling table whose row pp holds, per column c, the best of
+    ``prev[pp - d][c + d]`` over d < span: the row keeps the better of the
+    span starting at lo and the span ending at hi, which overlap but cover
+    the window because span <= width <= 2 * span (max and min are
+    idempotent).  When a window is wider than 2 * span, span doubles, by
+    one comparison per table entry; so a window of width w costs
+    ceil(log2 w) - 1 doublings in all, shared by the level's rows, and one
+    comparison per state.  This relies on the window width never falling
+    as p runs up to big // 2, which holds for the windows that
+    ``transition_bounds`` returns: p + 1, then prev_big + 1 or m_prev + 1.
+    ``prev`` is not modified.
 
     ``prev`` must be centrally symmetric, ``prev[p][r] ==
     prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
@@ -101,9 +111,13 @@ def fill_level(
     gap = ci.xs[level - 1] - ci.xs[level - 2]
     rowlen = ci.n - big + 1
     maximize = objective is Objective.MAX
-    better = max if maximize else min
 
     values = [None] * (big + 1)
+    # The doubling table (see docstring).  Only its rows span - 1 <= pp <=
+    # min(big // 2, prev_big) are read, and doubling replaces rows rather
+    # than editing them, so prev is left as it was.
+    best = prev[: big // 2 + 1]
+    span = 1
     # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring).
     for p in range(big // 2 + 1):
         q = big - p
@@ -120,21 +134,29 @@ def fill_level(
             if step
             else repeat(start, rowlen)
         )
-        a = prev[p - lo][lo : lo + rowlen]
         if hi == lo:
-            row = list(map(add, terms, a))
-        elif hi == lo + 1:
-            # Its own path: one comparison per state in a comprehension costs
-            # about a third of a max()/min() call, which parses keywords on
-            # every call.
-            b = prev[p - hi][hi : hi + rowlen]
+            row = list(map(add, terms, prev[p - lo][lo : lo + rowlen]))
+        else:
+            # Afterwards span <= hi - lo + 1 <= 2 * span (see docstring).
+            while 2 * span < hi - lo + 1:
+                # Top down, so best[pp - span] still holds the shorter span.
+                for pp in range(len(best) - 1, 2 * span - 2, -1):
+                    pairs = zip(best[pp], best[pp - span][span:])
+                    if maximize:
+                        best[pp] = [y if y > x else x for x, y in pairs]
+                    else:
+                        best[pp] = [y if y < x else x for x, y in pairs]
+                span *= 2
+            # The spans r0 = lo..lo+span-1 and s..hi.  Comparisons in a
+            # comprehension, not max()/min() calls, which parse keywords on
+            # every call and cost about three times as much.
+            s = hi - span + 1
+            a = best[p - lo][lo : lo + rowlen]
+            b = best[p - s][s : s + rowlen]
             if maximize:
                 row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
             else:
                 row = [t + (v if v < u else u) for t, u, v in zip(terms, a, b)]
-        else:
-            slices = [prev[p - r0][r0 : r0 + rowlen] for r0 in range(lo, hi + 1)]
-            row = list(map(add, terms, map(better, *slices)))
         values[p] = row
         if q != p:
             values[q] = row[::-1]

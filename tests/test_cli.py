@@ -337,6 +337,16 @@ class TestVerify:
         with pytest.raises(LinecutError):
             run_verify(5, 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused(self, capsys, seed):
+        # SplitMix64 masks its seed, so -1 would alias 2**64 - 1.
+        with pytest.raises(LinecutError):
+            run_verify(4, 1, seed)
+        code, out, err = run_cli(capsys, "verify", "--n-max", "4", "--trials", "1",
+                                 "--seed", str(seed))
+        assert (code, out) == (1, "")
+        assert "seed must fit in 64 bits" in err
+
     def test_n_max_past_the_oracle_cap_refused(self, capsys, monkeypatch):
         # 2**23 all-distinct profiles exceed the oracle's cap of 2**22.
         with pytest.raises(LinecutError):
@@ -400,6 +410,15 @@ class TestBench:
             run_bench([50], 1, 0)  # cannot fit slope
         with pytest.raises(LinecutError):
             run_bench([50, 60], 0, 0)  # no trials
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused(self, capsys, seed):
+        with pytest.raises(LinecutError):
+            run_bench([50, 60], 1, seed)
+        code, out, err = run_cli(capsys, "bench", "--sizes", "50", "60", "--trials", "1",
+                                 "--seed", str(seed))
+        assert (code, out) == (1, "")
+        assert "seed must fit in 64 bits" in err
 
     def test_record_field_order(self):
         rec = BenchRecord(50, 50, "uniform", 1, "max-bisection", 10, 99)

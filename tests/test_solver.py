@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -216,12 +217,32 @@ class TestRowWiseFill:
         want = oracle_solve(ci, spec)
         assert (got.value, got.profile) == (want.value, want.profile)
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("width", [3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+    def test_single_best_at_every_offset(self, objective, width):
+        # State p = width - 1 of level 3, the middle row, has the window
+        # r0 = 0..width - 1; the doubled spans must cover each offset.
+        ci = ci_of(*[0] * (width - 1), *[1] * (width - 1), 2)
+        p = width - 1
+        assert transition_bounds(p, ci.prefix[2] - p, ci.mult[1]) == (0, p)
+        special = 1 if objective is Objective.MAX else -1
+        for r0 in range(width):
+            prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
+            # The candidate of state (p, 0) at r0, and its mirror, which keeps
+            # prev centrally symmetric as fill_level requires.
+            prev[p - r0][r0] = prev[-1 - (p - r0)][-1 - r0] = special
+            before = copy.deepcopy(prev)
+            want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
+            assert want_r0[p][0] == r0
+            assert fill_level(ci, 3, prev, objective) == want_values
+            assert prev == before
+
     # reflected: the row fill run on the same coordinates negated.
     @pytest.mark.parametrize("reflected", [True, False])
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_distinct_input_calls_no_max_or_min(self, monkeypatch, objective, reflected):
-        # All-distinct input has windows of at most two entries, and those
-        # rows are built by comparisons, never by a max()/min() per state.
+    def test_row_fill_calls_no_max_or_min(self, monkeypatch, objective, reflected):
+        # Rows are built by comparisons, never by a max()/min() per state:
+        # two-entry windows (all-distinct input) and wider ones alike.
         sign = -1 if reflected else 1
         calls = []
 
@@ -235,12 +256,15 @@ class TestRowWiseFill:
         # Module globals shadow the builtins that fill_level looks up.
         monkeypatch.setattr(solver, "max", counting(max), raising=False)
         monkeypatch.setattr(solver, "min", counting(min), raising=False)
-        for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
+        for xs in (
+            range(40),
+            (-7, 3, 4, 10, 11, 25, 60),
+            (0, 1 << 40, -(1 << 40)),
+            (0, 0, 1, 1, 2, 2),  # a three-entry window: level 3, p = 2
+            (*[0] * 300, *[1] * 300, 2),  # windows up to 301 entries
+        ):
             fill_tables(ci_of(*[sign * x for x in xs]), objective)
         assert calls == []
-        # A three-entry window (level 3, p = 2) does reach the wrappers.
-        fill_tables(ci_of(*[sign * x for x in (0, 0, 1, 1, 2, 2)]), objective)
-        assert calls
 
     def test_shifted_window_is_detected_on_distinct_input(
         self, faulty_transition, monkeypatch
