@@ -269,11 +269,9 @@ def run_bench(
 
 
 def _read_instance(path: str) -> Instance:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return parse_instance(text)
+    # Strict UTF-8 on both paths: sys.stdin may decode with surrogateescape.
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return parse_instance(data.decode("utf-8"))
 
 
 def _spec_from_args(args: argparse.Namespace, n: int) -> ProblemSpec:

@@ -1,7 +1,8 @@
 """Instance text format and solution rendering.
 
 Instance files are UTF-8 text, one point per line as ``<decimal>`` or
-``<decimal> <multiplicity>``; a leading byte-order mark is ignored.  ``#``
+``<decimal> <multiplicity>``; a leading byte-order mark is ignored.  Lines
+end at ``\\n``, ``\\r\\n`` or ``\\r``; spaces and tabs separate fields.  ``#``
 starts a comment; blank lines are skipped.  Decimals are stored as integers
 at a shared power-of-ten scale, so parsing and rendering are exact (no
 floats anywhere).
@@ -27,6 +28,8 @@ from .model import (
 # "٣", which int() reads as 1 and 3, and "³", which int() rejects.
 _NUMBER_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?\Z")
 _MULT_RE = re.compile(r"[0-9]+\Z")
+# Only spaces and tabs separate fields; str.split() also splits at "\xa0" or "\x0b".
+_FIELD_RE = re.compile(r"[^ \t]+")
 # int() refuses digit strings longer than sys.get_int_max_str_digits(), so
 # significant digits are counted first: a number with more digits than the
 # cap is over it whatever they are.
@@ -48,11 +51,11 @@ def parse_instance(text: str) -> Instance:
     rows: list[tuple[int, str, str, str, int]] = []  # line_no, sign, whole, frac, mult
     scale = 0
     total = 0
-    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(lines.split("\n"), start=1):
+        fields = _FIELD_RE.findall(raw.split("#", 1)[0])
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) > 2:
             raise ParseError(
                 line_no, f"expected 'value [multiplicity]', got {_excerpt(raw)}"

@@ -140,15 +140,12 @@ def best_threshold(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
         js = (spec.k,)
     else:
         js = range(ci.n + 1)
-    maximize = spec.objective is Objective.MAX
-    best = None
-    best_profile = None
+    sign = 1 if spec.objective is Objective.MAX else -1
+    best = best_profile = None  # sign * value, so larger is better
     for j in js:
         profile = _prefix_profile(ci, j)
-        v = cut_value_sweep(ci, profile)
-        if best is None or ((v > best) if maximize else (v < best)):
-            best = v
-            best_profile = profile
-    return Solution(
-        ci=ci, spec=spec, value=best, k_actual=sum(best_profile), profile=best_profile
-    )
+        v = sign * cut_value_sweep(ci, profile)
+        if best is None or v > best:
+            best, best_profile = v, profile
+    value, profile = sign * best, best_profile
+    return Solution(ci=ci, spec=spec, value=value, k_actual=sum(profile), profile=profile)

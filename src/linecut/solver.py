@@ -30,7 +30,9 @@ Total work is about half of
 ``sum_i (|left_i|+1) * (n-|left_i|+1) * ceil(log2(m_i+1))``, at most on the
 order of ``n^2 * l * log(n/l + 1)``, which is ``n^3`` for all-distinct
 input; the bench harness measures the empirical exponent.  Table values are
-Python integers, so the fill is exact for every coordinate span.
+Python integers, so the fill is exact for every coordinate span.  They are
+scores, sign * cut with sign -1 for a min-partition: every step maximises,
+and only ``solve`` turns the optimal score back into a cut value.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def fill_level(
 ) -> list[list[int]]:
     """Fill one level (>= 2) from the previous level's values.
 
-    Returns ``values`` where ``values[p][r]`` is the optimal cut value of the
-    level's subproblem.  Exact for arbitrarily large coordinates (Python
-    ints).
+    Returns ``values`` where ``values[p][r]`` is the optimal score, sign *
+    cut, of the level's subproblem.  Exact for arbitrarily large
+    coordinates (Python ints).
 
     The candidates of a whole row are shifted slices of ``prev``, one per r0
     in the window, and the gap term is an arithmetic progression in r.  A
@@ -86,14 +88,14 @@ def fill_level(
     from a doubling table whose row pp holds, per column c, the best of
     ``prev[pp - d][c + d]`` over d < span: the row keeps the better of the
     span starting at lo and the span ending at hi, which overlap but cover
-    the window because span <= width <= 2 * span (max and min are
-    idempotent).  When a window is wider than 2 * span, span doubles, by
-    one comparison per table entry; so a window of width w costs
-    ceil(log2 w) - 1 doublings in all, shared by the level's rows, and one
-    comparison per state.  This relies on the window width never falling
-    as p runs up to big // 2, which holds for the windows that
-    ``transition_bounds`` returns: p + 1, then prev_big + 1 or m_prev + 1.
-    ``prev`` is not modified.
+    the window because span <= width <= 2 * span (max is idempotent).
+    When a window is wider than 2 * span, span doubles, by one comparison
+    per table entry; so a window of width w costs ceil(log2 w) - 1
+    doublings in all, shared by the level's rows, and one comparison per
+    state.  This relies on the window width never falling as p runs up to
+    big // 2, which holds for the windows that ``transition_bounds``
+    returns: p + 1, then prev_big + 1 or m_prev + 1.  ``prev`` is not
+    modified.
 
     ``prev`` must be centrally symmetric, ``prev[p][r] ==
     prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
@@ -109,8 +111,9 @@ def fill_level(
         raise InternalInconsistency("previous level table has wrong shape")
     m_prev = ci.mult[level - 2]
     gap = ci.xs[level - 1] - ci.xs[level - 2]
+    if objective is Objective.MIN:
+        gap = -gap  # the score is -cut
     rowlen = ci.n - big + 1
-    maximize = objective is Objective.MAX
 
     values = [None] * (big + 1)
     # The doubling table (see docstring).  Only its rows span - 1 <= pp <=
@@ -134,6 +137,8 @@ def fill_level(
             if step
             else repeat(start, rowlen)
         )
+        # One r0 (row 0, and all of level 2): map(add) is faster here than
+        # the comprehension below, by about 3% of a multiset solve.
         if hi == lo:
             row = list(map(add, terms, prev[p - lo][lo : lo + rowlen]))
         else:
@@ -142,21 +147,15 @@ def fill_level(
                 # Top down, so best[pp - span] still holds the shorter span.
                 for pp in range(len(best) - 1, 2 * span - 2, -1):
                     pairs = zip(best[pp], best[pp - span][span:])
-                    if maximize:
-                        best[pp] = [y if y > x else x for x, y in pairs]
-                    else:
-                        best[pp] = [y if y < x else x for x, y in pairs]
+                    best[pp] = [y if y > x else x for x, y in pairs]
                 span *= 2
             # The spans r0 = lo..lo+span-1 and s..hi.  Comparisons in a
-            # comprehension, not max()/min() calls, which parse keywords on
+            # comprehension, not max() calls, which parse keywords on
             # every call and cost about three times as much.
             s = hi - span + 1
             a = best[p - lo][lo : lo + rowlen]
             b = best[p - s][s : s + rowlen]
-            if maximize:
-                row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
-            else:
-                row = [t + (v if v < u else u) for t, u, v in zip(terms, a, b)]
+            row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
         values[p] = row
         if q != p:
             values[q] = row[::-1]
@@ -164,10 +163,10 @@ def fill_level(
 
 
 def fill_tables(ci: CompressedInstance, objective: Objective) -> list[list[int]]:
-    """Fill every level bottom-up and return the last level's value table.
+    """Fill every level bottom-up and return the last level's score table.
 
-    ``top[p][r]`` is the optimal value of state (p, r) at the last level;
-    earlier levels are rolled over.
+    ``top[p][r]`` is the optimal score, sign * cut, of state (p, r) at the
+    last level; earlier levels are rolled over.
     """
     top = base_level(ci.n)
     for level in range(2, ci.l + 1):
@@ -178,23 +177,22 @@ def fill_tables(ci: CompressedInstance, objective: Objective) -> list[list[int]]
 def scan_roots(
     ci: CompressedInstance, top: list[list[int]], spec: ProblemSpec
 ) -> tuple[list[int], int]:
-    """Return ``(sizes, value)``: the optimum and the first-set sizes reaching it.
+    """Return ``(sizes, score)``: the optimal score and the sizes reaching it.
 
-    Last-level state (p, r) has first-set size p + r.  Exact size k: the
-    optimum of the states with p + r = k, and the sizes ``[k]``.
-    Unconstrained: the optimum of every state, and the sizes of all the
-    states that reach it, ascending.
+    ``top`` and the score are sign * cut.  Last-level state (p, r) has
+    first-set size p + r.  Exact size k: the best of the states with
+    p + r = k, and the sizes ``[k]``.  Unconstrained: the best of every
+    state, and the sizes of all the states that reach it, ascending.
     """
     spec.validate_for(ci.n)
-    better = max if spec.objective is Objective.MAX else min
     k = spec.k
     if k is not None:
         m_last = ci.mult[-1]
         states = range(max(0, k - m_last), min(ci.n - m_last, k) + 1)
-        return [k], better(top[p][k - p] for p in states)
-    value = better(map(better, top))
-    sizes = {p + r for p, row in enumerate(top) for r, v in enumerate(row) if v == value}
-    return sorted(sizes), value
+        return [k], max(top[p][k - p] for p in states)
+    score = max(map(max, top))
+    sizes = {p + r for p, row in enumerate(top) for r, v in enumerate(row) if v == score}
+    return sorted(sizes), score
 
 
 def fill_diagonal(
@@ -202,21 +200,22 @@ def fill_diagonal(
 ) -> tuple[list[int], list[list[int]]]:
     """Fill diagonal k, the states (p, k - p), of every level.
 
-    Returns ``(values, picks)``: ``values[p]`` is the last level's value of
-    state (p, k - p), and ``picks[level - 2][p]`` the smallest optimizing r0
-    of that state at each level >= 2.  The predecessors (p - r0, k - p + r0)
-    of a state lie on the same diagonal, so each level reads only the
-    diagonal below it.  Rows are indexed by p from 0: where p < k - (n - big)
-    no state exists, and the entry is a 0 that no window reaches.
+    Returns ``(values, picks)``: ``values[p]`` is the last level's score,
+    sign * cut, of state (p, k - p), and ``picks[level - 2][p]`` the smallest
+    optimizing r0 of that state at each level >= 2.  The predecessors
+    (p - r0, k - p + r0) of a state lie on the same diagonal, so each level
+    reads only the diagonal below it.  Rows are indexed by p from 0: where
+    p < k - (n - big) no state exists, and the entry is a 0 that no window
+    reaches.
     """
     n = ci.n
-    better = max if objective is Objective.MAX else min
+    sign = -1 if objective is Objective.MIN else 1
     values = [0]  # level 1: the single state (0, k)
     picks = []
     for level in range(2, ci.l + 1):
         big = ci.prefix[level - 1]
         m_prev = ci.mult[level - 2]
-        gap = ci.xs[level - 1] - ci.xs[level - 2]
+        gap = sign * (ci.xs[level - 1] - ci.xs[level - 2])
         slack = n - big - k  # state (p, k - p) has t = slack + p
         p_lo = max(0, -slack)
         row = [0] * p_lo
@@ -231,7 +230,7 @@ def fill_diagonal(
             # The candidates for r0 = lo..hi, in that order.
             window = values[p - hi : p - lo + 1]
             window.reverse()
-            best = better(window)
+            best = max(window)
             pick.append(lo + window.index(best))
             row.append(gap * (p * (slack + p) + q * (k - p)) + best)
         values = row
@@ -244,11 +243,12 @@ def reconstruct(
 ) -> tuple[int, ...]:
     """Lexicographically smallest optimal profile of first-set size k.
 
-    ``value`` is the optimum of size k.  Diagonal k is re-filled on the
-    reflected instance, whose last level is the original first coordinate.
-    Its root is the optimal state with the smallest r, the count at that
-    coordinate; each step down takes the state's smallest optimizing r0, the
-    count at the next coordinate, and moves to state (p - r0, k - p + r0).
+    ``value`` is the optimal score of size k, sign * cut.  Diagonal k is
+    re-filled on the reflected instance, whose last level is the original
+    first coordinate.  Its root is the optimal state with the smallest r,
+    the count at that coordinate; each step down takes the state's smallest
+    optimizing r0, the count at the next coordinate, and moves to state
+    (p - r0, k - p + r0).
     """
     # A tuple from a list, not a generator: a tuple built from a generator is
     # resized, and each call would leave one more block on the tuple free list.
@@ -256,8 +256,7 @@ def reconstruct(
         xs=tuple([-x for x in reversed(ci.xs)]), mult=ci.mult[::-1]
     )
     values, picks = fill_diagonal(mirror, k, objective)
-    better = max if objective is Objective.MAX else min
-    if better(values[max(0, k - ci.mult[0]) :]) != value:
+    if max(values[max(0, k - ci.mult[0]) :]) != value:
         raise InternalInconsistency(f"re-filled diagonal {k} misses the optimum {value}")
     # The largest p reaching the optimum is the root with the smallest r.
     p = len(values) - 1 - values[::-1].index(value)
@@ -278,8 +277,9 @@ def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     the smallest over every optimal first-set size.
     """
     spec.validate_for(ci.n)
-    sizes, value = scan_roots(ci, fill_tables(ci, spec.objective), spec)
-    profile = min(reconstruct(ci, k, spec.objective, value) for k in sizes)
+    sizes, score = scan_roots(ci, fill_tables(ci, spec.objective), spec)
+    profile = min(reconstruct(ci, k, spec.objective, score) for k in sizes)
+    value = score if spec.objective is Objective.MAX else -score
     if cut_value_sweep(ci, profile) != value:
         raise InternalInconsistency("reconstructed profile does not evaluate to the optimum")
     return Solution(

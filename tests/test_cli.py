@@ -30,6 +30,13 @@ def instance_file(tmp_path):
     return make
 
 
+def feed_stdin(monkeypatch, data: bytes):
+    """Make ``data`` the process's stdin, decoded as the interpreter's own
+    stdin is under UTF-8 mode or a C locale: with errors="surrogateescape"."""
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+
+
 def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -48,7 +55,7 @@ class TestSolveCommand:
         assert payload["value"] == "3"
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0\n7\n"))
+        feed_stdin(monkeypatch, b"0\n7\n")
         code, out, _ = run_cli(capsys, "solve", "--problem", "max-cut", "--output", "json")
         assert code == 0
         assert json.loads(out)["value"] == "7"
@@ -56,7 +63,7 @@ class TestSolveCommand:
     def test_non_ascii_multiplicity_fails_cleanly(self, capsys, monkeypatch):
         # printf '0\n1 ³\n' | linecut solve --problem max-cut: a typed
         # error and exit 1, not a ValueError escaping dispatch.
-        monkeypatch.setattr("sys.stdin", io.StringIO("0\n1 ³\n"))
+        feed_stdin(monkeypatch, "0\n1 ³\n".encode())
         code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")
         assert code == 1
         assert out == ""
@@ -70,14 +77,14 @@ class TestSolveCommand:
     def test_non_ascii_coordinate_fails_cleanly(self, capsys, monkeypatch, text):
         # printf '１２\n٣\n' | linecut solve --problem max-cut: refused, not
         # read as the points 12 and 3.
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        feed_stdin(monkeypatch, text.encode())
         code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
 
     def test_point_cap_fails_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"0\n1 {MAX_POINTS}\n"))
+        feed_stdin(monkeypatch, f"0\n1 {MAX_POINTS}\n".encode())
         code, out, err = run_cli(capsys, "solve", "--problem", "max-cut")
         assert code == 1
         assert out == ""
@@ -162,6 +169,20 @@ class TestSolveCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_non_utf8_stdin_matches_the_file(self, capsys, monkeypatch, tmp_path):
+        # printf '0 # caf\xe9\n1\n' | linecut solve --problem max-cut: the
+        # same refusal as for the file, even in a comment.
+        data = b"0 # caf\xe9\n1\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        from_file = run_cli(capsys, "solve", "--problem", "max-cut", "--input", str(path))
+        feed_stdin(monkeypatch, data)
+        from_stdin = run_cli(capsys, "solve", "--problem", "max-cut")
+        assert from_stdin == from_file
+        code, out, err = from_stdin
+        assert (code, out) == (1, "")
+        assert "can't decode byte 0xe9" in err
 
     def test_byte_order_mark_file(self, capsys, tmp_path):
         # A UTF-8 byte-order mark before the first line changes nothing.

@@ -118,6 +118,45 @@ class TestParse:
         assert err.value.line_no == line_no
         assert "bad decimal literal" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("0\u20281\n", 1),  # line separator
+            ("0\u20291\n", 1),  # paragraph separator
+            ("0\x851\n", 1),  # next line
+            ("0\x1c1\n", 1),  # file separator
+            ("0\x0b1\n", 1),  # vertical tab
+            ("0\x0c\n1\nfoo\n", 1),  # form feed: the first bad line is line 1
+            ("0\u00a02\n", 1),  # no-break space before a multiplicity
+            ("0\n1\u30002\n", 2),  # ideographic space
+            ("0\n1 \x0c\n", 2),  # form feed as a second field
+        ],
+        ids=["u2028", "u2029", "nel", "fs", "vt", "ff", "nbsp", "ideographic", "ff-field"],
+    )
+    def test_other_whitespace_is_refused(self, text, line_no):
+        # Lines end only at \n, \r\n or \r, and fields are separated only by
+        # spaces and tabs; str.splitlines() and str.split() accept more.
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == line_no
+
+    def test_accepted_line_ends_separators_and_comments(self):
+        # \n, \r\n and \r end lines, spaces and tabs separate fields, and a
+        # comment runs to the line end whatever it holds.
+        want = parse_instance("0\n1 2\n3 4\n5\n")
+        for text in (
+            "0\r\n1 2\r\n3 4\r\n5\r\n",
+            "0\r1 2\r3 4\r5",
+            "\ufeff0\n1\t2\n 3 \t  4\t\n\t5\n",
+            "0 # a\x0cb\u2028c\x0bd\x85e\u00a0f\n1\t \t2\r\n3 4 #\u2029\r5",
+        ):
+            assert parse_instance(text) == want
+
+    def test_comments_do_not_shift_line_numbers(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance("0 # a\x0cb\u2028c\n1\nfoo\n")
+        assert err.value.line_no == 3
+
     def test_too_many_fraction_digits(self):
         parse_instance("0.123456789\n")
         with pytest.raises(PrecisionError):

@@ -148,6 +148,11 @@ class TestBestThreshold:
         assert best_threshold(ci_of(0, 1, 2, 3), ProblemSpec.max_partition(2)).value == 8
         assert best_threshold(ci_of(0, 1, 2, 3), ProblemSpec.min_partition(2)).value == 8
 
+    def test_ties_go_to_the_smallest_prefix(self):
+        # Prefixes {0} and {0, 1} both cut 3.
+        sol = best_threshold(ci_of(0, 1, 2), ProblemSpec.max_cut())
+        assert (sol.value, sol.profile) == (3, (1, 0, 0))
+
     def test_prefix_shape(self):
         sol = best_threshold(ci_of(0, 0, 5, 9), ProblemSpec.max_partition(3))
         assert sol.profile == (2, 1, 0)

@@ -75,18 +75,20 @@ class TestFillLevel:
                         Objective.MAX)
         lo = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MIN),
                         Objective.MIN)
+        # Tables hold scores, sign * cut: a min-partition's cut 2 is -2.
         assert hi[1][0] == 3
-        assert lo[1][0] == 2
+        assert lo[1][0] == -2
 
 
 def scalar_fill_level(ci, level, prev, objective, largest=False):
     """Reference: the state-by-state scan, storing each state's smallest
-    optimizing r0, or its largest where ``largest`` is true."""
+    optimizing r0, or its largest where ``largest`` is true.  Values are
+    scores, sign * cut, as in ``fill_level``: the largest is the best."""
     big = ci.prefix[level - 1]
     m_prev = ci.mult[level - 2]
-    gap = ci.xs[level - 1] - ci.xs[level - 2]
+    sign = 1 if objective is Objective.MAX else -1
+    gap = sign * (ci.xs[level - 1] - ci.xs[level - 2])
     rowlen = ci.n - big + 1
-    maximize = objective is Objective.MAX
     values, choices = [], []
     for p in range(big + 1):
         q = big - p
@@ -98,7 +100,7 @@ def scalar_fill_level(ci, level, prev, objective, largest=False):
             br = lo
             for r0 in range(lo + 1, hi + 1):
                 v = prev[p - r0][r0 + r]
-                if (largest and v == best) or ((v > best) if maximize else (v < best)):
+                if v > best or (largest and v == best):
                     best = v
                     br = r0
             vrow[r] = gap * (p * (rowlen - 1 - r) + q * r) + best
@@ -198,10 +200,12 @@ class TestRowWiseFill:
         # State (p, r) = (300, 0) of level 3 sees r0 = 0..300; the only
         # distinct candidate is prev[20][280], reached through r0 = 280.
         # Its mirror prev[280][21] keeps prev centrally symmetric, as
-        # fill_level requires, and lies outside that state's window.
+        # fill_level requires, and lies outside that state's window.  prev
+        # holds scores, sign * cut, so the best candidate is the largest
+        # under either objective.
         ci = ci_of(*[0] * 300, *[1] * 300, 2)
         prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
-        prev[20][280] = prev[280][21] = 1 if objective is Objective.MAX else -1
+        prev[20][280] = prev[280][21] = 1
         want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
         assert want_r0[300][0] == 280
         assert fill_level(ci, 3, prev, objective) == want_values
@@ -225,12 +229,12 @@ class TestRowWiseFill:
         ci = ci_of(*[0] * (width - 1), *[1] * (width - 1), 2)
         p = width - 1
         assert transition_bounds(p, ci.prefix[2] - p, ci.mult[1]) == (0, p)
-        special = 1 if objective is Objective.MAX else -1
         for r0 in range(width):
             prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
             # The candidate of state (p, 0) at r0, and its mirror, which keeps
-            # prev centrally symmetric as fill_level requires.
-            prev[p - r0][r0] = prev[-1 - (p - r0)][-1 - r0] = special
+            # prev centrally symmetric as fill_level requires.  prev holds
+            # scores, so the single best is the largest under either objective.
+            prev[p - r0][r0] = prev[-1 - (p - r0)][-1 - r0] = 1
             before = copy.deepcopy(prev)
             want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
             assert want_r0[p][0] == r0
@@ -292,7 +296,7 @@ class TestScanRoots:
         assert v_max == 8
         top_min = fill_tables(ci, Objective.MIN)
         _, v_min = scan_roots(ci, top_min, ProblemSpec.min_partition(2))
-        assert v_min == 6
+        assert v_min == -6  # the score, -cut, of the optimum
 
     def test_bad_k(self):
         ci = ci_of(0, 1)
