@@ -274,24 +274,33 @@ def _read_instance(path: str) -> Instance:
     return parse_instance(data.decode("utf-8"))
 
 
+_PARTITIONS = ("max-partition", "min-partition")
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a ``--k``/``--problem`` mismatch before any input is read."""
+    if args.problem in _PARTITIONS:
+        if args.k is None:
+            raise _UsageError(f"--problem {args.problem} requires --k")
+    elif args.k is not None:
+        raise _UsageError(f"--k does not apply to --problem {args.problem}")
+
+
 def _spec_from_args(args: argparse.Namespace, n: int) -> ProblemSpec:
+    """The problem that flags accepted by ``_check_flags`` name, on n points."""
     problem = args.problem
-    k = args.k
-    if problem in ("max-partition", "min-partition"):
-        if k is None:
-            raise _UsageError(f"--problem {problem} requires --k")
-        objective = Objective.MAX if problem == "max-partition" else Objective.MIN
-        return ProblemSpec(objective, k)
-    if k is not None:
-        raise _UsageError(f"--k does not apply to --problem {problem}")
     if problem == "max-cut":
         return ProblemSpec.max_cut()
-    objective = Objective.MAX if problem == "max-bisection" else Objective.MIN
+    objective = Objective.MAX if problem.startswith("max-") else Objective.MIN
+    if problem in _PARTITIONS:
+        return ProblemSpec(objective, args.k)
+    # The one rule that needs the instance: a bisection needs an even n.
     return ProblemSpec.bisection(objective, n)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     """Serve ``solve`` and ``oracle``; only ``solve`` has ``--no-assignment``."""
+    _check_flags(args)
     ci = compress(_read_instance(args.input))
     spec = _spec_from_args(args, ci.n)
     t0 = time.perf_counter_ns()

@@ -19,12 +19,15 @@ The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
 size k.  The assignment is taken from diagonal k alone, re-filled on the
 reflected instance (coordinates negated, levels reversed) with each state's
-smallest optimizing r0.  Backtracking from the optimal root with the
-smallest r then fixes the counts from the original left end onwards, each
-the smallest that still reaches the optimum: the lexicographically smallest
-optimal profile of size k.  Max-cut re-fills every size whose diagonal
-reaches the optimum and reports the smallest of their profiles, the profile
-the exhaustive oracle returns too.
+smallest optimizing r0.  The re-fill handles a state by the width of its
+window: one entry is read, two are decided by one comparison, a tie keeping
+the smaller r0, and only a wider window, which all-distinct input never
+has, is scanned with ``max`` and ``index``.  Backtracking from the optimal
+root with the smallest r then fixes the counts from the original left end
+onwards, each the smallest that still reaches the optimum: the
+lexicographically smallest optimal profile of size k.  Max-cut re-fills
+every size whose diagonal reaches the optimum and reports the smallest of
+their profiles, the profile the exhaustive oracle returns too.
 
 Total work is about half of
 ``sum_i (|left_i|+1) * (n-|left_i|+1) * ceil(log2(m_i+1))``, at most on the
@@ -207,6 +210,14 @@ def fill_diagonal(
     reads only the diagonal below it.  Rows are indexed by p from 0: where
     p < k - (n - big) no state exists, and the entry is a 0 that no window
     reaches.
+
+    Each state is handled by the width of its window lo..hi, which
+    ``transition_bounds`` gives.  One entry (hi == lo) picks lo.  Two
+    entries (hi == lo + 1) are decided by one ``>`` comparison, and a tie
+    picks lo.  A wider window is sliced, reversed and scanned with ``max``
+    and ``index``, which also pick the smallest optimizing r0.  Every
+    window of all-distinct input has one or two entries.  An empty window
+    (lo > hi) raises ``InternalInconsistency``.
     """
     n = ci.n
     sign = -1 if objective is Objective.MIN else 1
@@ -217,21 +228,36 @@ def fill_diagonal(
         m_prev = ci.mult[level - 2]
         gap = sign * (ci.xs[level - 1] - ci.xs[level - 2])
         slack = n - big - k  # state (p, k - p) has t = slack + p
-        p_lo = max(0, -slack)
+        p_lo = -slack if slack < 0 else 0
         row = [0] * p_lo
         pick = [0] * p_lo
-        for p in range(p_lo, min(big, k) + 1):
+        for p in range(p_lo, (big if big < k else k) + 1):
             q = big - p
             lo, hi = transition_bounds(p, q, m_prev)
-            if lo > hi:
+            # The candidate for r0 is values[p - r0].  Windows of one or two
+            # entries, every window of all-distinct input, are decided
+            # without building a list.
+            if hi == lo + 1:
+                best = values[p - lo]
+                other = values[p - hi]
+                if other > best:  # a tie keeps lo
+                    best = other
+                    pick.append(hi)
+                else:
+                    pick.append(lo)
+            elif hi == lo:
+                best = values[p - lo]
+                pick.append(lo)
+            elif hi < lo:
                 raise InternalInconsistency(
                     f"empty transition window at level {level}, state p={p}, q={q}"
                 )
-            # The candidates for r0 = lo..hi, in that order.
-            window = values[p - hi : p - lo + 1]
-            window.reverse()
-            best = max(window)
-            pick.append(lo + window.index(best))
+            else:
+                # The candidates for r0 = lo..hi, in that order.
+                window = values[p - hi : p - lo + 1]
+                window.reverse()
+                best = max(window)
+                pick.append(lo + window.index(best))
             row.append(gap * (p * (slack + p) + q * (k - p)) + best)
         values = row
         picks.append(pick)

@@ -148,6 +148,24 @@ class TestSolveCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("--problem", "max-partition"), ("--problem", "max-cut", "--k", "1")],
+        ids=["partition-without-k", "k-with-max-cut"],
+    )
+    def test_flag_mismatch_is_refused_before_the_input(
+        self, capsys, monkeypatch, command, flags
+    ):
+        # linecut solve --problem max-partition < /dev/null: the usage error,
+        # not the empty instance's error, whatever the input holds.
+        feed_stdin(monkeypatch, b"")
+        code, out, err = run_cli(capsys, command, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert "--k" in err
+
     def test_k_out_of_range(self, capsys, instance_file):
         path = instance_file("0\n1\n")
         code, _, err = run_cli(

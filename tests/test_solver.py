@@ -13,10 +13,12 @@ import linecut
 import linecut.solver as solver
 from linecut.cli import run_verify
 from linecut.errors import InternalInconsistency, InvalidK, UnsupportedProblem
+from linecut.gen import GenKind, GenSpec, derive_seed, generate
 from linecut.model import (
     Objective,
     ProblemSpec,
     complement_profile,
+    compress,
     cut_value_naive,
     cut_value_sweep,
 )
@@ -123,6 +125,52 @@ def largest_r0_diagonal(ci, k, objective):
     return diagonal(table), picks
 
 
+def assert_matches_scalar_scan(ci):
+    """The rows and, on every diagonal, the re-fill's smallest optimizing r0."""
+    for objective in Objective:
+        picks = [fill_diagonal(ci, k, objective)[1] for k in range(ci.n + 1)]
+        prev = base_level(ci.n)
+        for level in range(2, ci.l + 1):
+            want_values, want_r0 = scalar_fill_level(ci, level, prev, objective)
+            values = fill_level(ci, level, prev, objective)
+            assert values == want_values
+            for p, row in enumerate(want_r0):
+                for r, r0 in enumerate(row):
+                    assert picks[p + r][level - 2][p] == r0
+            prev = values
+
+
+def diagonal_windows(ci, k, objective):
+    """Yield ``(level, p, lo, candidates)`` for each state (p, k - p) of
+    diagonal k at every level >= 2, with the scores of its candidates for
+    r0 = lo..hi in that order, read from the scalar scan's level tables."""
+    prev = base_level(ci.n)
+    for level in range(2, ci.l + 1):
+        big = ci.prefix[level - 1]
+        for p in range(max(0, k - (ci.n - big)), min(big, k) + 1):
+            lo, hi = transition_bounds(p, big - p, ci.mult[level - 2])
+            yield level, p, lo, [prev[p - r0][r0 + k - p] for r0 in range(lo, hi + 1)]
+        prev, _ = scalar_fill_level(ci, level, prev, objective)
+
+
+@pytest.fixture
+def builtin_calls(monkeypatch):
+    """Record every max() and min() call that the solver module makes."""
+    calls = []
+
+    def counting(builtin):
+        def wrapper(*args, **kwargs):
+            calls.append(builtin)
+            return builtin(*args, **kwargs)
+
+        return wrapper
+
+    # Module globals shadow the builtins that the solver looks up.
+    monkeypatch.setattr(solver, "max", counting(max), raising=False)
+    monkeypatch.setattr(solver, "min", counting(min), raising=False)
+    return calls
+
+
 distinct_cis = st.lists(
     st.integers(-1000, 1000), min_size=1, max_size=14, unique=True
 ).map(lambda xs: ci_of(*xs))
@@ -143,18 +191,7 @@ class TestRowWiseFill:
     @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
     @example(ci_of(*range(0, 30, 3), 0, 9, 9, 27, 27, 27, 27))
     def test_matches_scalar_scan(self, ci):
-        # The rows and, on every diagonal, the re-fill's smallest optimizing r0.
-        for objective in Objective:
-            picks = [fill_diagonal(ci, k, objective)[1] for k in range(ci.n + 1)]
-            prev = base_level(ci.n)
-            for level in range(2, ci.l + 1):
-                want_values, want_r0 = scalar_fill_level(ci, level, prev, objective)
-                values = fill_level(ci, level, prev, objective)
-                assert values == want_values
-                for p, row in enumerate(want_r0):
-                    for r, r0 in enumerate(row):
-                        assert picks[p + r][level - 2][p] == r0
-                prev = values
+        assert_matches_scalar_scan(ci)
 
     @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
     @example(ci_of(*range(12)))
@@ -244,22 +281,10 @@ class TestRowWiseFill:
     # reflected: the row fill run on the same coordinates negated.
     @pytest.mark.parametrize("reflected", [True, False])
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_row_fill_calls_no_max_or_min(self, monkeypatch, objective, reflected):
+    def test_row_fill_calls_no_max_or_min(self, builtin_calls, objective, reflected):
         # Rows are built by comparisons, never by a max()/min() per state:
         # two-entry windows (all-distinct input) and wider ones alike.
         sign = -1 if reflected else 1
-        calls = []
-
-        def counting(builtin):
-            def wrapper(*args, **kwargs):
-                calls.append(builtin)
-                return builtin(*args, **kwargs)
-
-            return wrapper
-
-        # Module globals shadow the builtins that fill_level looks up.
-        monkeypatch.setattr(solver, "max", counting(max), raising=False)
-        monkeypatch.setattr(solver, "min", counting(min), raising=False)
         for xs in (
             range(40),
             (-7, 3, 4, 10, 11, 25, 60),
@@ -268,7 +293,7 @@ class TestRowWiseFill:
             (*[0] * 300, *[1] * 300, 2),  # windows up to 301 entries
         ):
             fill_tables(ci_of(*[sign * x for x in xs]), objective)
-        assert calls == []
+        assert builtin_calls == []
 
     def test_shifted_window_is_detected_on_distinct_input(
         self, faulty_transition, monkeypatch
@@ -279,6 +304,64 @@ class TestRowWiseFill:
                 solve(ci, spec)
         monkeypatch.undo()
         assert solve(ci, ProblemSpec.max_partition(2)).value == 8
+
+
+class TestDiagonalRefill:
+    """``fill_diagonal`` handles each state by the width of its window."""
+
+    # Each instance has, on diagonal k, under both objectives and on plain and
+    # reflected coordinates, a state of the named class with a known answer:
+    # a one-entry window whose only r0 is lo > 0, a two-entry window whose
+    # candidates tie, and a wider window whose best score is tied and first
+    # reached past lo.
+    @pytest.mark.parametrize("reflected", [False, True])
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize(
+        "xs, k, width",
+        [
+            ((0, 1, 2, 3), 2, 1),
+            ((0, 1, 2, 3), 2, 2),
+            ((0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 5), 9, 3),
+        ],
+        ids=["one-entry", "two-entry", "wide"],
+    )
+    def test_ties_pick_the_smallest_r0(self, xs, k, width, objective, reflected):
+        ci = ci_of(*[-x if reflected else x for x in xs])
+        picks = fill_diagonal(ci, k, objective)[1]
+        known = 0
+        for level, p, lo, candidates in diagonal_windows(ci, k, objective):
+            if min(len(candidates), 3) != width:
+                continue
+            best = max(candidates)
+            first = candidates.index(best)
+            assert picks[level - 2][p] == lo + first
+            if width == 1:
+                known += lo > 0
+            else:
+                known += candidates.count(best) > 1 and (width == 2 or first > 0)
+        assert known
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_narrow_windows_call_no_max_or_min(self, builtin_calls, objective, reflected):
+        # All-distinct input has windows of one or two entries only, and
+        # those are decided without a max()/min() call.
+        sign = -1 if reflected else 1
+        for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
+            ci = ci_of(*[sign * x for x in xs])
+            for k in range(ci.n + 1):
+                fill_diagonal(ci, k, objective)
+        assert builtin_calls == []
+        # Diagonal 3 of this instance has one three-entry window, at level 3.
+        fill_diagonal(ci_of(*[sign * x for x in (0, 0, 1, 1, 2, 2)]), 3, objective)
+        assert builtin_calls == [max]
+
+    # Medium n, past the hypothesis strategies' reach, on every generator kind.
+    @pytest.mark.parametrize("kind", list(GenKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("n", [40, 61, 80])
+    def test_medium_instances_match_scalar_scan(self, kind, n):
+        ci = compress(generate(GenSpec(kind, n, 10**4, derive_seed(7, n))))
+        assert_matches_scalar_scan(ci)
 
 
 class TestScanRoots:
