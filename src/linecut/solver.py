@@ -8,12 +8,13 @@ onto its left neighbour changes the cut value by exactly ``gap * (p*t + q*r)``
 because interval lengths add along the line, so level values can be filled
 bottom-up from a zero base.  Every row is filled at once from shifted slices
 of the previous level: a one-entry window adds one slice to the gap term,
-and a wider one keeps the better of two slices of a doubling table, each
-the best over a span of the window, by one comparison per state in a list
-comprehension.  Swapping the two sets maps state (p, r) to (q, t) and
-leaves ``gap * (p*t + q*r)`` unchanged, so every level table is centrally
-symmetric, and only its rows with p <= q are computed; each other row is
-its mirror's, read backwards.
+a two-entry one keeps the better of two slices, and a wider one is read
+from prefix and suffix maxima over blocks of the previous level's rows, a
+sliding-window maximum along its diagonals, by list comprehensions that
+make at most three comparisons per state.  Swapping the two sets maps
+state (p, r) to (q, t) and leaves ``gap * (p*t + q*r)`` unchanged, so every
+level table is centrally symmetric, and only its rows with p <= q are
+computed; each other row is its mirror's, read backwards.
 
 The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
@@ -29,13 +30,13 @@ lexicographically smallest optimal profile of size k.  Max-cut re-fills
 every size whose diagonal reaches the optimum and reports the smallest of
 their profiles, the profile the exhaustive oracle returns too.
 
-Total work is about half of
-``sum_i (|left_i|+1) * (n-|left_i|+1) * ceil(log2(m_i+1))``, at most on the
-order of ``n^2 * l * log(n/l + 1)``, which is ``n^3`` for all-distinct
-input; the bench harness measures the empirical exponent.  Table values are
-Python integers, so the fill is exact for every coordinate span.  They are
-scores, sign * cut with sign -1 for a min-partition: every step maximises,
-and only ``solve`` turns the optimal score back into a cut value.
+Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
+states, a few comparisons each whatever the window's width, so on the order
+of ``n^2 * l``, which is ``n^3`` for all-distinct input; the bench harness
+measures the empirical exponent.  Table values are Python integers, so the
+fill is exact for every coordinate span.  They are scores, sign * cut with
+sign -1 for a min-partition: every step maximises, and only ``solve`` turns
+the optimal score back into a cut value.
 """
 
 from __future__ import annotations
@@ -87,18 +88,29 @@ def fill_level(
 
     The candidates of a whole row are shifted slices of ``prev``, one per r0
     in the window, and the gap term is an arithmetic progression in r.  A
-    one-entry window adds the two with ``map``.  A wider one is answered
-    from a doubling table whose row pp holds, per column c, the best of
-    ``prev[pp - d][c + d]`` over d < span: the row keeps the better of the
-    span starting at lo and the span ending at hi, which overlap but cover
-    the window because span <= width <= 2 * span (max is idempotent).
-    When a window is wider than 2 * span, span doubles, by one comparison
-    per table entry; so a window of width w costs ceil(log2 w) - 1
-    doublings in all, shared by the level's rows, and one comparison per
-    state.  This relies on the window width never falling as p runs up to
-    big // 2, which holds for the windows that ``transition_bounds``
-    returns: p + 1, then prev_big + 1 or m_prev + 1.  ``prev`` is not
-    modified.
+    one-entry window adds the two with ``map``, and a two-entry window
+    keeps the better of two slices, by one comparison per state.
+
+    A wider window is a sliding-window maximum along the diagonals of
+    ``prev`` (van Herk; Gil and Werman): state (p, r) reads ``prev[pp][p +
+    r - pp]`` over the source rows pp = p - r0 in x..y = p - hi..p - lo.
+    The source rows are cut into blocks of w = m_prev + 1 rows, and two
+    kinds of row hold, per diagonal, the best over part of a block: pre(y)
+    from y's block start to y, indexed by the column of row y, and suf(x)
+    from x to its block's end e, indexed by the column of row e.  pre is
+    one running row, since y never falls as p grows: each source row
+    advances it by one comparison per entry.  A block's suf rows are built
+    from e down to x when x enters the block, and each is dropped once
+    read, so at most w of them are live.  A window starting at a block
+    start lies in that block, and its row is pre(y) plus the gap terms.
+    Any other window is no narrower than w, so it runs from x's block into
+    the next, and its row keeps the better of pre(y) and suf(x).  That
+    covers every window, because only a window narrower than w can lie in
+    one block without starting at its start, and every such window starts
+    at x = 0: a window is narrower than w only when x = 0, or when y =
+    prev_big < p, and then p <= big // 2 forces p < m_prev, so x = 0 again.
+    So every state costs at most three comparisons, whatever its window's
+    width.  ``prev`` is not modified.
 
     ``prev`` must be centrally symmetric, ``prev[p][r] ==
     prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
@@ -119,11 +131,13 @@ def fill_level(
     rowlen = ci.n - big + 1
 
     values = [None] * (big + 1)
-    # The doubling table (see docstring).  Only its rows span - 1 <= pp <=
-    # min(big // 2, prev_big) are read, and doubling replaces rows rather
-    # than editing them, so prev is left as it was.
-    best = prev[: big // 2 + 1]
-    span = 1
+    # Block maxima over the source rows pp = p - r0 (see docstring): pre is
+    # pre(pre_y), and sufs holds suf(x) for the rest of x's block, the next
+    # x on top.  Both are built as new lists, so prev is left as it was.
+    w = m_prev + 1
+    pre = None
+    pre_y = -1
+    sufs = []
     # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring).
     for p in range(big // 2 + 1):
         q = big - p
@@ -141,24 +155,45 @@ def fill_level(
             else repeat(start, rowlen)
         )
         # One r0 (row 0, and all of level 2): map(add) is faster here than
-        # the comprehension below, by about 3% of a multiset solve.
+        # a comprehension, by about 3% of a multiset solve.
         if hi == lo:
             row = list(map(add, terms, prev[p - lo][lo : lo + rowlen]))
-        else:
-            # Afterwards span <= hi - lo + 1 <= 2 * span (see docstring).
-            while 2 * span < hi - lo + 1:
-                # Top down, so best[pp - span] still holds the shorter span.
-                for pp in range(len(best) - 1, 2 * span - 2, -1):
-                    pairs = zip(best[pp], best[pp - span][span:])
-                    best[pp] = [y if y > x else x for x, y in pairs]
-                span *= 2
-            # The spans r0 = lo..lo+span-1 and s..hi.  Comparisons in a
-            # comprehension, not max() calls, which parse keywords on
-            # every call and cost about three times as much.
-            s = hi - span + 1
-            a = best[p - lo][lo : lo + rowlen]
-            b = best[p - s][s : s + rowlen]
+        elif hi == lo + 1:
+            # Comparisons in a comprehension, not max() calls, which parse
+            # keywords on every call and cost about three times as much.
+            a = prev[p - lo][lo : lo + rowlen]
+            b = prev[p - hi][hi : hi + rowlen]
             row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
+        else:
+            # The source window x..y; y never falls as p grows.
+            x = p - hi
+            y = p - lo
+            if pre_y < y:
+                if pre_y < y - y % w:
+                    pre_y = y - y % w
+                    pre = prev[pre_y]
+                # pre(pp)[j] is the best of pre(pp - 1)[j + 1] and prev[pp][j].
+                for pp in range(pre_y + 1, y + 1):
+                    pairs = zip(prev[pp], pre[1:])
+                    pre = [v if v > u else u for u, v in pairs]
+                pre_y = y
+            a = pre[lo : lo + rowlen]
+            if x % w:
+                if not sufs:
+                    # x has just entered its block: suf(pp) for the rows
+                    # from the block's end e down to x, each indexed by the
+                    # column of row e.
+                    e = x - x % w + m_prev
+                    suf = prev[e]
+                    sufs.append(suf)
+                    for pp in range(e - 1, x - 1, -1):
+                        pairs = zip(prev[pp][e - pp :], suf)
+                        suf = [v if v > u else u for u, v in pairs]
+                        sufs.append(suf)
+                b = sufs.pop()[x % w : x % w + rowlen]
+                row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
+            else:
+                row = list(map(add, terms, a))
         values[p] = row
         if q != p:
             values[q] = row[::-1]

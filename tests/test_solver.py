@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import os
+import random
 import subprocess
 import sys
 
@@ -262,7 +263,8 @@ class TestRowWiseFill:
     @pytest.mark.parametrize("width", [3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
     def test_single_best_at_every_offset(self, objective, width):
         # State p = width - 1 of level 3, the middle row, has the window
-        # r0 = 0..width - 1; the doubled spans must cover each offset.
+        # r0 = 0..width - 1.  Its source rows 0..width - 1 start at a block
+        # start, so pre alone must reach each offset.
         ci = ci_of(*[0] * (width - 1), *[1] * (width - 1), 2)
         p = width - 1
         assert transition_bounds(p, ci.prefix[2] - p, ci.mult[1]) == (0, p)
@@ -278,12 +280,74 @@ class TestRowWiseFill:
             assert fill_level(ci, 3, prev, objective) == want_values
             assert prev == before
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("w", [3, 4, 5, 8, 9, 17, 33])
+    def test_single_best_in_a_window_across_two_blocks(self, objective, w):
+        # Level 3 cuts its source rows into blocks of w = m_prev + 1 rows.
+        # State p in w..2w - 2 has the window r0 = 0..w - 1, the source rows
+        # x = p - w + 1 to p, which start inside block 0 and end in block 1:
+        # the row is read from suf(x) and pre(p).
+        ci = ci_of(*[0] * (3 * w), *[1] * (w - 1), 2)
+        for p in sorted({w, w + w // 2, 2 * w - 2}):
+            assert (p - w + 1) % w
+            assert transition_bounds(p, ci.prefix[2] - p, ci.mult[1]) == (0, w - 1)
+            for r0 in range(w):
+                prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
+                # The candidate of state (p, 0) at r0, and its mirror, which
+                # keeps prev centrally symmetric; prev holds scores, so the
+                # single best is the largest under either objective.
+                prev[p - r0][r0] = prev[-1 - (p - r0)][-1 - r0] = 1
+                before = copy.deepcopy(prev)
+                want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
+                assert want_r0[p][0] == r0
+                assert fill_level(ci, 3, prev, objective) == want_values
+                assert prev == before
+
+    # Medium n on few values, past the hypothesis strategies' reach: windows
+    # up to dozens of entries, across every block of a level.
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_multiset_ramps_match_scalar_scan(self, order, seed):
+        rng = random.Random(f"{order}-{seed}")
+        n = rng.randint(60, 150)
+        # A random composition of n into 5..16 multiplicities, as a ramp.
+        cuts = sorted(rng.sample(range(1, n), rng.randint(5, 16) - 1))
+        mults = sorted(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+        if order == "descending":
+            mults.reverse()
+        elif order == "shuffled":
+            rng.shuffle(mults)
+        xs = sorted(rng.sample(range(-(10**6), 10**6), len(mults)))
+        ci = ci_of(*[x for x, m in zip(xs, mults) for _ in range(m)])
+        assert ci.mult == tuple(mults)
+        diagonals = (1, n // 3, n // 2, n - 2)
+        for objective in Objective:
+            refills = [fill_diagonal(ci, k, objective) for k in diagonals]
+            table = base_level(n)
+            for level in range(2, ci.l + 1):
+                want_values, want_r0 = scalar_fill_level(ci, level, table, objective)
+                table = fill_level(ci, level, table, objective)
+                assert table == want_values
+                big = ci.prefix[level - 1]
+                # The re-fill's picks on diagonal k, and at the top level
+                # its values, are the scalar scan's on states (p, k - p).
+                for k, (values, picks) in zip(diagonals, refills):
+                    feasible = range(max(0, k - (n - big)), min(big, k) + 1)
+                    assert [picks[level - 2][p] for p in feasible] == [
+                        want_r0[p][k - p] for p in feasible
+                    ]
+                    if level == ci.l:
+                        assert [values[p] for p in feasible] == [
+                            table[p][k - p] for p in feasible
+                        ]
+
     # reflected: the row fill run on the same coordinates negated.
     @pytest.mark.parametrize("reflected", [True, False])
     @pytest.mark.parametrize("objective", list(Objective))
     def test_row_fill_calls_no_max_or_min(self, builtin_calls, objective, reflected):
         # Rows are built by comparisons, never by a max()/min() per state:
-        # two-entry windows (all-distinct input) and wider ones alike.
+        # two-entry windows (all-distinct input), windows within one block
+        # and windows across two alike.
         sign = -1 if reflected else 1
         for xs in (
             range(40),
@@ -291,6 +355,8 @@ class TestRowWiseFill:
             (0, 1 << 40, -(1 << 40)),
             (0, 0, 1, 1, 2, 2),  # a three-entry window: level 3, p = 2
             (*[0] * 300, *[1] * 300, 2),  # windows up to 301 entries
+            # Windows across two blocks, at levels 4 and 6.
+            tuple(x for x, m in enumerate((2, 9, 3, 20, 5, 1)) for _ in range(m)),
         ):
             fill_tables(ci_of(*[sign * x for x in xs]), objective)
         assert builtin_calls == []
