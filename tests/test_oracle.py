@@ -42,6 +42,12 @@ class TestOracleSolve:
             oracle_solve(ci, ProblemSpec.max_partition(3))
         monkeypatch.setattr(oracle, "PROFILE_CAP", 24)
         oracle_solve(ci, ProblemSpec.max_partition(3))
+        # The walk behind that call answers every size, but the cap is still
+        # checked on each later call.
+        monkeypatch.setattr(oracle, "PROFILE_CAP", 23)
+        for spec in all_specs(ci.n):
+            with pytest.raises(TooLargeForOracle):
+                oracle_solve(ci, spec)
 
     def test_leaves_no_cyclic_garbage(self):
         # Every call's garbage must go by reference counting alone, so the
@@ -119,9 +125,15 @@ class TestOracleAgainstReference:
 
     def test_winner_rechecked_by_sweep(self, monkeypatch):
         ci = ci_of(0, 1, 2, 3)
+        oracle._winners.cache_clear()
         monkeypatch.setattr(oracle, "cut_value_sweep", lambda ci, a: -1)
         with pytest.raises(InternalInconsistency):
             oracle_solve(ci, ProblemSpec.max_cut())
+        # Winners looked up from the walk of an earlier call are re-swept too.
+        for spec in all_specs(ci.n):
+            with pytest.raises(InternalInconsistency):
+                oracle_solve(ci, spec)
+        assert oracle._winners.cache_info().misses == 1
 
     def test_one_sweep_per_call(self, monkeypatch):
         calls = []
@@ -133,6 +145,41 @@ class TestOracleAgainstReference:
         monkeypatch.setattr(oracle, "cut_value_sweep", counting)
         sol = oracle_solve(ci_of(0, 1, 2, 3, 5, 8), ProblemSpec.min_partition(3))
         assert calls == [sol.profile]
+
+    def test_counts_above_255(self):
+        # 300 copies of 0, so winners hold counts up to 300: a profile stored
+        # as bytes could not.
+        assert_matches_reference(ci_of(*[0] * 300, 5, 5, 9))
+
+
+class TestOneWalkPerInstance:
+    def test_all_specs_walk_once(self):
+        ci, other = ci_of(0, 0, 1, 3, 3, 3, 7, 12), ci_of(4, 4, 9)
+        oracle._winners.cache_clear()
+        for spec in all_specs(ci.n):
+            oracle_solve(ci, spec)
+        assert oracle._winners.cache_info().misses == 1
+        oracle_solve(other, ProblemSpec.max_cut())
+        info = oracle._winners.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+
+    @given(compressed_instances(max_n=9))
+    def test_answers_do_not_depend_on_call_order(self, ci):
+        specs = all_specs(ci.n)
+
+        def answers(order, clear):
+            out = {}
+            for spec in order:
+                if clear:
+                    oracle._winners.cache_clear()
+                sol = oracle_solve(ci, spec)
+                out[spec] = (sol.value, sol.profile)
+            return out
+
+        oracle._winners.cache_clear()
+        forwards = answers(specs, clear=False)
+        assert answers(specs[::-1], clear=False) == forwards
+        assert answers(specs, clear=True) == forwards
 
 
 class TestSolveAgainstOracle:
