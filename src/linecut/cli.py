@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import oracle
 from .errors import LinecutError, InternalInconsistency
@@ -120,37 +120,30 @@ def _verify_problems(n: int) -> list[ProblemSpec]:
     return specs
 
 
-def _verify_trial(idx: int, n_max: int, seed: int) -> tuple[int, list[VerifyFailure]]:
-    inst = _verify_instance(n_max, seed, idx)
-    ci = compress(inst)
-    checks = 0
-    failures: list[VerifyFailure] = []
-
-    def fail(problem: str, detail: str) -> None:
-        failures.append(VerifyFailure(idx, problem, detail, render_instance(inst)))
-
-    for spec in _verify_problems(ci.n):
-        checks += 1
+def _verify_trial(
+    ci: CompressedInstance, specs: list[ProblemSpec]
+) -> Iterator[tuple[str, str]]:
+    """Check each problem on one instance; yield (problem, detail) per failure."""
+    for spec in specs:
         label = _spec_label(spec)
         try:
             got = solve(ci, spec)
             want = oracle.oracle_solve(ci, spec)
         except LinecutError as exc:
-            fail(label, f"exception: {exc}")
+            yield label, f"exception: {exc}"
             continue
         if got.value != want.value:
-            fail(label, f"solver value {got.value} != oracle value {want.value}")
+            yield label, f"solver value {got.value} != oracle value {want.value}"
             continue
         if got.profile != want.profile:
-            fail(label, f"solver profile {got.profile} != oracle profile {want.profile}")
+            yield label, f"solver profile {got.profile} != oracle profile {want.profile}"
             continue
         # Reconstruction re-checked here with the pairwise evaluator, which
         # shares nothing with either the recurrence or the oracle's sweep.
         if cut_value_naive(ci, got.profile) != got.value:
-            fail(label, f"profile {got.profile} does not evaluate to {got.value}")
+            yield label, f"profile {got.profile} does not evaluate to {got.value}"
         elif spec.k is not None and sum(got.profile) != spec.k:
-            fail(label, f"profile {got.profile} has size {sum(got.profile)} != k")
-    return checks, failures
+            yield label, f"profile {got.profile} has size {sum(got.profile)} != k"
 
 
 def run_verify(n_max: int, trials: int, seed: int) -> VerifyReport:
@@ -168,17 +161,18 @@ def run_verify(n_max: int, trials: int, seed: int) -> VerifyReport:
     if trials < 1:
         raise LinecutError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
-    checks = 0
-    all_failures: list[VerifyFailure] = []
+    checks = failures = 0
+    first_failure = None
     for idx in range(trials):
-        trial_checks, failures = _verify_trial(idx, n_max, seed)
-        checks += trial_checks
-        all_failures += failures
+        inst = _verify_instance(n_max, seed, idx)
+        specs = _verify_problems(inst.n)
+        checks += len(specs)
+        for problem, detail in _verify_trial(compress(inst), specs):
+            failures += 1
+            if first_failure is None:
+                first_failure = VerifyFailure(idx, problem, detail, render_instance(inst))
     return VerifyReport(
-        trials=trials,
-        checks=checks,
-        failures=len(all_failures),
-        first_failure=all_failures[0] if all_failures else None,
+        trials=trials, checks=checks, failures=failures, first_failure=first_failure
     )
 
 

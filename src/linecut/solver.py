@@ -19,16 +19,17 @@ computed; each other row is its mirror's, read backwards.
 The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
 size k.  The assignment is taken from diagonal k alone, re-filled on the
-reflected instance (coordinates negated, levels reversed) with each state's
-smallest optimizing r0.  The re-fill handles a state by the width of its
-window: one entry is read, two are decided by one comparison, a tie keeping
-the smaller r0, and only a wider window, which all-distinct input never
-has, is scanned with ``max`` and ``index``.  Backtracking from the optimal
-root with the smallest r then fixes the counts from the original left end
-onwards, each the smallest that still reaches the optimum: the
-lexicographically smallest optimal profile of size k.  Max-cut re-fills
-every size whose diagonal reaches the optimum and reports the smallest of
-their profiles, the profile the exhaustive oracle returns too.
+reflected instance (coordinates negated, levels reversed), and the re-fill
+keeps scores only too: one entry is read, two are decided by one
+comparison, and only a wider window, which all-distinct input never has, is
+passed to ``max``.  The backtrack then makes every choice by one rule.  The
+root is one more transition, into a level past the last; from it down, each
+step takes the smallest r0 whose candidate reaches the window's best.  That
+fixes the counts from the original left end onwards, each the smallest that
+still reaches the optimum: the lexicographically smallest optimal profile
+of size k.  Max-cut re-fills every size whose diagonal reaches the optimum
+and reports the smallest of their profiles, the profile the exhaustive
+oracle returns too.
 
 Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
 states, a few comparisons each whatever the window's width, so on the order
@@ -235,37 +236,33 @@ def scan_roots(
 
 def fill_diagonal(
     ci: CompressedInstance, k: int, objective: Objective
-) -> tuple[list[int], list[list[int]]]:
+) -> list[list[int]]:
     """Fill diagonal k, the states (p, k - p), of every level.
 
-    Returns ``(values, picks)``: ``values[p]`` is the last level's score,
-    sign * cut, of state (p, k - p), and ``picks[level - 2][p]`` the smallest
-    optimizing r0 of that state at each level >= 2.  The predecessors
-    (p - r0, k - p + r0) of a state lie on the same diagonal, so each level
-    reads only the diagonal below it.  Rows are indexed by p from 0: where
-    p < k - (n - big) no state exists, and the entry is a 0 that no window
-    reaches.
+    Returns ``rows``: ``rows[level - 1][p]`` is the score, sign * cut, of
+    state (p, k - p) at that level.  The predecessors (p - r0, k - p + r0)
+    of a state lie on the same diagonal, so each level reads only the
+    diagonal below it.  Rows are indexed by p from 0: where p < k - (n -
+    big) no state exists, and the entry is a 0 that no window reaches.
 
     Each state is handled by the width of its window lo..hi, which
-    ``transition_bounds`` gives.  One entry (hi == lo) picks lo.  Two
-    entries (hi == lo + 1) are decided by one ``>`` comparison, and a tie
-    picks lo.  A wider window is sliced, reversed and scanned with ``max``
-    and ``index``, which also pick the smallest optimizing r0.  Every
-    window of all-distinct input has one or two entries.  An empty window
-    (lo > hi) raises ``InternalInconsistency``.
+    ``transition_bounds`` gives.  One entry (hi == lo) is read, two (hi ==
+    lo + 1) are decided by one ``>`` comparison, and a wider window, which
+    all-distinct input never has, is sliced and passed to ``max``.  An
+    empty window (lo > hi) raises ``InternalInconsistency``.  No r0 is
+    stored: ``reconstruct`` chooses them on its path.
     """
     n = ci.n
     sign = -1 if objective is Objective.MIN else 1
-    values = [0]  # level 1: the single state (0, k)
-    picks = []
+    rows = [[0]]  # level 1: the single state (0, k)
     for level in range(2, ci.l + 1):
+        values = rows[-1]
         big = ci.prefix[level - 1]
         m_prev = ci.mult[level - 2]
         gap = sign * (ci.xs[level - 1] - ci.xs[level - 2])
         slack = n - big - k  # state (p, k - p) has t = slack + p
         p_lo = -slack if slack < 0 else 0
         row = [0] * p_lo
-        pick = [0] * p_lo
         for p in range(p_lo, (big if big < k else k) + 1):
             q = big - p
             lo, hi = transition_bounds(p, q, m_prev)
@@ -275,28 +272,19 @@ def fill_diagonal(
             if hi == lo + 1:
                 best = values[p - lo]
                 other = values[p - hi]
-                if other > best:  # a tie keeps lo
+                if other > best:
                     best = other
-                    pick.append(hi)
-                else:
-                    pick.append(lo)
             elif hi == lo:
                 best = values[p - lo]
-                pick.append(lo)
             elif hi < lo:
                 raise InternalInconsistency(
                     f"empty transition window at level {level}, state p={p}, q={q}"
                 )
             else:
-                # The candidates for r0 = lo..hi, in that order.
-                window = values[p - hi : p - lo + 1]
-                window.reverse()
-                best = max(window)
-                pick.append(lo + window.index(best))
+                best = max(values[p - hi : p - lo + 1])
             row.append(gap * (p * (slack + p) + q * (k - p)) + best)
-        values = row
-        picks.append(pick)
-    return values, picks
+        rows.append(row)
+    return rows
 
 
 def reconstruct(
@@ -306,24 +294,39 @@ def reconstruct(
 
     ``value`` is the optimal score of size k, sign * cut.  Diagonal k is
     re-filled on the reflected instance, whose last level is the original
-    first coordinate.  Its root is the optimal state with the smallest r,
-    the count at that coordinate; each step down takes the state's smallest
-    optimizing r0, the count at the next coordinate, and moves to state
-    (p - r0, k - p + r0).
+    first coordinate.  The root is one more transition, into state (k, 0)
+    of a level past the last, and its best candidate must be ``value``.
+    Every step from there down to level 2, the root's included, takes its
+    window from ``transition_bounds``, chooses the smallest r0 whose
+    candidate reaches the window's best, which is the count at the next
+    original coordinate, and moves to state (p - r0, k - p + r0).
     """
     # A tuple from a list, not a generator: a tuple built from a generator is
     # resized, and each call would leave one more block on the tuple free list.
     mirror = CompressedInstance(
         xs=tuple([-x for x in reversed(ci.xs)]), mult=ci.mult[::-1]
     )
-    values, picks = fill_diagonal(mirror, k, objective)
-    if max(values[max(0, k - ci.mult[0]) :]) != value:
-        raise InternalInconsistency(f"re-filled diagonal {k} misses the optimum {value}")
-    # The largest p reaching the optimum is the root with the smallest r.
-    p = len(values) - 1 - values[::-1].index(value)
-    profile = [k - p]
-    for pick in reversed(picks):
-        r0 = pick[p]
+    rows = fill_diagonal(mirror, k, objective)
+    p = k
+    profile = []
+    for level in range(ci.l + 1, 1, -1):
+        values = rows[level - 2]
+        q = mirror.prefix[level - 1] - p
+        lo, hi = transition_bounds(p, q, mirror.mult[level - 2])
+        if lo > hi:
+            raise InternalInconsistency(
+                f"empty transition window at level {level}, state p={p}, q={q}"
+            )
+        best = max(values[p - hi : p - lo + 1])
+        if level > ci.l and best != value:
+            raise InternalInconsistency(
+                f"re-filled diagonal {k} misses the optimum {value}"
+            )
+        # A generator with next() here cost about a third more per call on
+        # all-distinct input of n = 12.
+        r0 = lo
+        while values[p - r0] != best:
+            r0 += 1
         profile.append(r0)
         p -= r0
     if p != 0:

@@ -26,10 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def faulty_transition(monkeypatch):
     """Break the recurrence: shift the transition window's lower end up by one.
 
-    ``fill_level`` and ``fill_diagonal``, the re-fill behind ``reconstruct``,
-    look ``transition_bounds`` up at call time, so the row fill and the
-    diagonal re-fill both see the shifted window.  Checks that must catch a
-    broken solver run with this fixture; it only reaches the current process.
+    ``fill_level``, ``fill_diagonal`` (the re-fill behind ``reconstruct``)
+    and ``reconstruct``'s backtrack, the root's step included, look
+    ``transition_bounds`` up at call time, so the row fill, the diagonal
+    re-fill and the choice of every count all see the shifted window.  Checks
+    that must catch a broken solver run with this fixture; it only reaches
+    the current process.
     """
     exact = solver.transition_bounds
 

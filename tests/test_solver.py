@@ -16,6 +16,7 @@ from linecut.cli import run_verify
 from linecut.errors import InternalInconsistency, InvalidK, UnsupportedProblem
 from linecut.gen import GenKind, GenSpec, derive_seed, generate
 from linecut.model import (
+    CompressedInstance,
     Objective,
     ProblemSpec,
     complement_profile,
@@ -65,8 +66,8 @@ class TestFillLevel:
         values = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
         assert values[1][0] == 2
         assert values[0][2] == 2
-        # State (1, 0) lies on diagonal 1; its only r0 is 1.
-        assert fill_diagonal(ci, 1, Objective.MAX)[1][0][1] == 1
+        # State (1, 0) lies on diagonal 1, and the re-fill's level 2 holds it.
+        assert fill_diagonal(ci, 1, Objective.MAX)[1][1] == values[1][0]
 
     def test_base_level_zero(self):
         assert base_level(3) == [[0, 0, 0, 0]]
@@ -113,45 +114,80 @@ def scalar_fill_level(ci, level, prev, objective, largest=False):
     return values, choices
 
 
-def largest_r0_diagonal(ci, k, objective):
-    """``fill_diagonal`` with the opposite tie-break, from the scalar scan."""
+def mirror_of(ci):
+    """The reflected instance that ``reconstruct`` re-fills."""
+    return CompressedInstance(xs=tuple([-x for x in reversed(ci.xs)]), mult=ci.mult[::-1])
 
-    def diagonal(table):
-        return [row[k - p] if k - p < len(row) else 0 for p, row in enumerate(table[: k + 1])]
 
-    table, picks = base_level(ci.n), []
+def scalar_tables(ci, objective, largest=False):
+    """The scalar scan's value and choice tables of every level, level 1 first."""
+    tables, choices = [base_level(ci.n)], [None]
     for level in range(2, ci.l + 1):
-        table, r0s = scalar_fill_level(ci, level, table, objective, largest=True)
-        picks.append(diagonal(r0s))
-    return diagonal(table), picks
+        values, r0s = scalar_fill_level(ci, level, tables[-1], objective, largest)
+        tables.append(values)
+        choices.append(r0s)
+    return tables, choices
+
+
+def scalar_backtrack(ci, objective, largest=False):
+    """Reference for ``reconstruct``: ``{k: (score, profile)}`` at every size k.
+
+    It backtracks the scalar scan's tables of the reflected instance.  The
+    root's count r is the smallest among the optimal states of diagonal k, and
+    each later count the scan's stored r0: the smallest that reaches the
+    optimum, or the largest, root included, where ``largest`` is true.
+    """
+    tables, choices = scalar_tables(mirror_of(ci), objective, largest)
+    top = tables[-1]
+    answers = {}
+    for k in range(ci.n + 1):
+        states = [(p, k - p) for p in range(len(top)) if 0 <= k - p < len(top[0])]
+        score = max(top[p][r] for p, r in states)
+        tied = [r for p, r in states if top[p][r] == score]
+        r = max(tied) if largest else min(tied)
+        p = k - r
+        profile = [r]
+        for level in range(ci.l, 1, -1):
+            r0 = choices[level - 1][p][r]
+            profile.append(r0)
+            p, r = p - r0, r + r0
+        assert p == 0
+        answers[k] = score, tuple(profile)
+    return answers
 
 
 def assert_matches_scalar_scan(ci):
-    """The rows and, on every diagonal, the re-fill's smallest optimizing r0."""
+    """The row fill, the re-fill's rows on every diagonal and ``reconstruct``
+    at every size, against the scalar scan."""
     for objective in Objective:
-        picks = [fill_diagonal(ci, k, objective)[1] for k in range(ci.n + 1)]
+        refills = [fill_diagonal(ci, k, objective) for k in range(ci.n + 1)]
+        assert all(len(rows) == ci.l and rows[0] == [0] for rows in refills)
         prev = base_level(ci.n)
         for level in range(2, ci.l + 1):
-            want_values, want_r0 = scalar_fill_level(ci, level, prev, objective)
+            want_values, _ = scalar_fill_level(ci, level, prev, objective)
             values = fill_level(ci, level, prev, objective)
             assert values == want_values
-            for p, row in enumerate(want_r0):
-                for r, r0 in enumerate(row):
-                    assert picks[p + r][level - 2][p] == r0
+            for p, row in enumerate(want_values):
+                for r, v in enumerate(row):
+                    assert refills[p + r][level - 1][p] == v
             prev = values
+        for k, (score, profile) in scalar_backtrack(ci, objective).items():
+            assert solver.reconstruct(ci, k, objective, score) == profile
 
 
-def diagonal_windows(ci, k, objective):
-    """Yield ``(level, p, lo, candidates)`` for each state (p, k - p) of
-    diagonal k at every level >= 2, with the scores of its candidates for
-    r0 = lo..hi in that order, read from the scalar scan's level tables."""
-    prev = base_level(ci.n)
-    for level in range(2, ci.l + 1):
-        big = ci.prefix[level - 1]
-        for p in range(max(0, k - (ci.n - big)), min(big, k) + 1):
-            lo, hi = transition_bounds(p, big - p, ci.mult[level - 2])
-            yield level, p, lo, [prev[p - r0][r0 + k - p] for r0 in range(lo, hi + 1)]
-        prev, _ = scalar_fill_level(ci, level, prev, objective)
+def path_windows(ci, k, objective, profile):
+    """Yield ``(lo, candidates, r0)`` for each step of ``profile``'s path on
+    diagonal k of the reflected instance, the root's first: the window's
+    scores for r0 = lo..hi in that order, read from the scalar scan's level
+    tables, and the count the profile takes."""
+    mirror = mirror_of(ci)
+    tables, _ = scalar_tables(mirror, objective)
+    p = k
+    for level, r0 in zip(range(ci.l + 1, 1, -1), profile):
+        prev = tables[level - 2]
+        lo, hi = transition_bounds(p, mirror.prefix[level - 1] - p, mirror.mult[level - 2])
+        yield lo, [prev[p - r][r + k - p] for r in range(lo, hi + 1)], r0
+        p -= r0
 
 
 @pytest.fixture
@@ -203,7 +239,7 @@ class TestRowWiseFill:
             top = fill_tables(ci, objective)
             big = len(top) - 1
             for k in range(ci.n + 1):
-                values, _ = fill_diagonal(ci, k, objective)
+                values = fill_diagonal(ci, k, objective)[-1]
                 feasible = range(max(0, k - (ci.n - big)), min(big, k) + 1)
                 assert len(values) == feasible.stop
                 assert [values[p] for p in feasible] == [top[p][k - p] for p in feasible]
@@ -323,23 +359,23 @@ class TestRowWiseFill:
         diagonals = (1, n // 3, n // 2, n - 2)
         for objective in Objective:
             refills = [fill_diagonal(ci, k, objective) for k in diagonals]
+            reference = scalar_backtrack(ci, objective)
             table = base_level(n)
             for level in range(2, ci.l + 1):
-                want_values, want_r0 = scalar_fill_level(ci, level, table, objective)
+                want_values, _ = scalar_fill_level(ci, level, table, objective)
                 table = fill_level(ci, level, table, objective)
                 assert table == want_values
                 big = ci.prefix[level - 1]
-                # The re-fill's picks on diagonal k, and at the top level
-                # its values, are the scalar scan's on states (p, k - p).
-                for k, (values, picks) in zip(diagonals, refills):
+                # The re-fill's rows on diagonal k are the scalar scan's
+                # values on states (p, k - p).
+                for k, rows in zip(diagonals, refills):
                     feasible = range(max(0, k - (n - big)), min(big, k) + 1)
-                    assert [picks[level - 2][p] for p in feasible] == [
-                        want_r0[p][k - p] for p in feasible
+                    assert [rows[level - 1][p] for p in feasible] == [
+                        table[p][k - p] for p in feasible
                     ]
-                    if level == ci.l:
-                        assert [values[p] for p in feasible] == [
-                            table[p][k - p] for p in feasible
-                        ]
+            for k in diagonals:
+                score, profile = reference[k]
+                assert solver.reconstruct(ci, k, objective, score) == profile
 
     # reflected: the row fill run on the same coordinates negated.
     @pytest.mark.parametrize("reflected", [True, False])
@@ -373,13 +409,15 @@ class TestRowWiseFill:
 
 
 class TestDiagonalRefill:
-    """``fill_diagonal`` handles each state by the width of its window."""
+    """``fill_diagonal`` handles each state by the width of its window, and
+    ``reconstruct`` chooses each count on its path by one rule."""
 
-    # Each instance has, on diagonal k, under both objectives and on plain and
-    # reflected coordinates, a state of the named class with a known answer:
-    # a one-entry window whose only r0 is lo > 0, a two-entry window whose
-    # candidates tie, and a wider window whose best score is tied and first
-    # reached past lo.
+    # On each instance, under both objectives and on plain and reflected
+    # coordinates, the path of diagonal k's profile, the root included,
+    # passes a state of the named class with a known answer: a one-entry
+    # window whose only r0 is lo > 0, a two-entry window whose candidates
+    # tie, and a wider window whose best score is tied and first reached
+    # past lo.
     @pytest.mark.parametrize("reflected", [False, True])
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize(
@@ -393,14 +431,15 @@ class TestDiagonalRefill:
     )
     def test_ties_pick_the_smallest_r0(self, xs, k, width, objective, reflected):
         ci = ci_of(*[-x if reflected else x for x in xs])
-        picks = fill_diagonal(ci, k, objective)[1]
+        score = scan_roots(ci, fill_tables(ci, objective), ProblemSpec(objective, k))[1]
+        profile = solver.reconstruct(ci, k, objective, score)
         known = 0
-        for level, p, lo, candidates in diagonal_windows(ci, k, objective):
-            if min(len(candidates), 3) != width:
-                continue
+        for lo, candidates, r0 in path_windows(ci, k, objective, profile):
             best = max(candidates)
             first = candidates.index(best)
-            assert picks[level - 2][p] == lo + first
+            assert r0 == lo + first
+            if min(len(candidates), 3) != width:
+                continue
             if width == 1:
                 known += lo > 0
             else:
@@ -535,8 +574,14 @@ class TestSolve:
         ci = ci_of(0, 1, 2, 3)
         assert solve(ci, ProblemSpec.min_partition(2)).profile == (0, 1, 0, 1)
         assert run_verify(6, 20, 0).ok
-        monkeypatch.setattr(solver, "fill_diagonal", largest_r0_diagonal)
-        assert solve(ci, ProblemSpec.min_partition(2)).profile == (0, 1, 1, 0)
+        # Every count, the root's included, the largest that reaches the
+        # optimum: the lexicographically largest optimal profile.
+        monkeypatch.setattr(
+            solver,
+            "reconstruct",
+            lambda ci, k, objective, value: scalar_backtrack(ci, objective, True)[k][1],
+        )
+        assert solve(ci, ProblemSpec.min_partition(2)).profile == (1, 0, 1, 0)
         report = run_verify(6, 20, 0)
         assert not report.ok
         assert "profile" in report.first_failure.detail
@@ -565,6 +610,14 @@ class TestSelfChecks:
         monkeypatch.setattr(solver, "fill_tables", inflated)
         with pytest.raises(InternalInconsistency):
             solve(ci_of(0, 1, 2, 3), spec)
+
+    def test_value_the_refill_misses(self):
+        # The root step's best candidate must be the optimum it is given.
+        ci = ci_of(0, 1, 2, 3)
+        assert solver.reconstruct(ci, 2, Objective.MAX, 8) == (0, 0, 1, 1)
+        for value in (7, 9):
+            with pytest.raises(InternalInconsistency, match="misses the optimum"):
+                solver.reconstruct(ci, 2, Objective.MAX, value)
 
     def test_profile_failing_the_sweep(self, monkeypatch):
         monkeypatch.setattr(solver, "cut_value_sweep", lambda ci, profile: -1)
@@ -611,3 +664,23 @@ class TestFaultHook:
         monkeypatch.undo()
         assert solver.reconstruct(ci, 2, Objective.MAX, 2) == (1, 1)
         assert solve(ci, ProblemSpec.max_cut()).value == 3
+
+    def test_empty_root_window_is_detected(self, monkeypatch):
+        # Only the root's window, the one lookup with p + q == n, is empty:
+        # the backtrack raises InternalInconsistency, not a bare ValueError.
+        ci = ci_of(0, 0, 0, 1)
+        exact = solver.transition_bounds
+        roots = []
+
+        def empty_root(p, q, m_prev):
+            if p + q == ci.n:
+                roots.append((p, q, m_prev))
+                return 1, 0
+            return exact(p, q, m_prev)
+
+        monkeypatch.setattr(solver, "transition_bounds", empty_root)
+        with pytest.raises(InternalInconsistency, match="empty transition window"):
+            solver.reconstruct(ci, 2, Objective.MAX, 2)
+        assert roots == [(2, 2, 3)]
+        with pytest.raises(InternalInconsistency):
+            solve(ci, ProblemSpec.max_cut())
