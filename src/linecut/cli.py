@@ -102,14 +102,11 @@ def _verify_instance(n_max: int, seed: int, idx: int) -> Instance:
     n = 1 + rng.below(n_max)
     span = _VERIFY_SPANS[rng.below(len(_VERIFY_SPANS))]
     kind = _VERIFY_KINDS[idx % len(_VERIFY_KINDS)]
-    gen_seed = derive_seed(seed, idx, 1)
-    if kind is GenKind.DUPLICATES:
-        gspec = GenSpec(kind, n, span, gen_seed, distinct_target=1 + rng.below(n))
-    elif kind is GenKind.CLUSTERED:
-        gspec = GenSpec(kind, n, span, gen_seed, clusters=1 + rng.below(3))
-    else:
-        gspec = GenSpec(kind, n, span, gen_seed)
-    return generate(gspec)
+    return generate(GenSpec(
+        kind, n, span, derive_seed(seed, idx, 1),
+        distinct_target=1 + rng.below(n) if kind is GenKind.DUPLICATES else None,
+        clusters=1 + rng.below(3) if kind is GenKind.CLUSTERED else None,
+    ))
 
 
 def _verify_problems(n: int) -> list[ProblemSpec]:

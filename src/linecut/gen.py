@@ -111,8 +111,6 @@ def _composition(rng: SplitMix64, total: int, parts: int) -> list[int]:
     Samples parts-1 distinct cut points from {1..total-1} with a partial
     Fisher-Yates over a sparse dict, so only O(parts) state is touched.
     """
-    if parts == 1:
-        return [total]
     picked = []
     perm: dict[int, int] = {}
     top = total - 1
@@ -136,14 +134,14 @@ def generate(spec: GenSpec) -> Instance:
     elif spec.kind is GenKind.DUPLICATES:
         target = spec.distinct_target
         if target is None:
-            target = max(1, math.isqrt(spec.n))
+            target = math.isqrt(spec.n)
         values = [rng.below(width) for _ in range(target)]
         counts = _composition(rng, spec.n, target)
         coords = []
         for v, c in zip(values, counts):
             coords.extend([v] * c)
     else:
-        count = spec.clusters if spec.clusters is not None else max(1, min(3, spec.n))
+        count = spec.clusters if spec.clusters is not None else min(3, spec.n)
         centers = [rng.below(width) for _ in range(count)]
         radius = spec.span // 1000
         coords = []

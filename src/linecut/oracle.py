@@ -164,11 +164,10 @@ def best_threshold(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     else:
         js = range(ci.n + 1)
     sign = 1 if spec.objective is Objective.MAX else -1
-    best = best_profile = None  # sign * value, so larger is better
-    for j in js:
-        profile = _prefix_profile(ci, j)
-        v = sign * cut_value_sweep(ci, profile)
-        if best is None or v > best:
-            best, best_profile = v, profile
-    value, profile = sign * best, best_profile
+    # max keeps the first of tied profiles, the smallest prefix.
+    profile = max(
+        (_prefix_profile(ci, j) for j in js),
+        key=lambda a: sign * cut_value_sweep(ci, a),
+    )
+    value = cut_value_sweep(ci, profile)
     return Solution(ci=ci, spec=spec, value=value, k_actual=sum(profile), profile=profile)

@@ -20,9 +20,9 @@ The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
 size k.  The assignment is taken from diagonal k alone, re-filled on the
 reflected instance (coordinates negated, levels reversed), and the re-fill
-keeps scores only too: one entry is read, two are decided by one
-comparison, and only a wider window, which all-distinct input never has, is
-passed to ``max``.  The backtrack then makes every choice by one rule.  The
+keeps scores only too: one or two entries are decided by one comparison,
+and only a wider window, which all-distinct input never has, is passed to
+``max``.  The backtrack then makes every choice by one rule.  The
 root is one more transition, into a level past the last; from it down, each
 step takes the smallest r0 whose candidate reaches the window's best.  That
 fixes the counts from the original left end onwards, each the smallest that
@@ -246,11 +246,12 @@ def fill_diagonal(
     big) no state exists, and the entry is a 0 that no window reaches.
 
     Each state is handled by the width of its window lo..hi, which
-    ``transition_bounds`` gives.  One entry (hi == lo) is read, two (hi ==
-    lo + 1) are decided by one ``>`` comparison, and a wider window, which
-    all-distinct input never has, is sliced and passed to ``max``.  An
-    empty window (lo > hi) raises ``InternalInconsistency``.  No r0 is
-    stored: ``reconstruct`` chooses them on its path.
+    ``transition_bounds`` gives.  One or two entries (hi == lo or hi ==
+    lo + 1) are decided by one ``>`` comparison, a single entry against
+    itself, and a wider window, which all-distinct input never has, is
+    sliced and passed to ``max``.  An empty window (lo > hi) raises
+    ``InternalInconsistency``.  No r0 is stored: ``reconstruct`` chooses
+    them on its path.
     """
     n = ci.n
     sign = -1 if objective is Objective.MIN else 1
@@ -268,14 +269,12 @@ def fill_diagonal(
             lo, hi = transition_bounds(p, q, m_prev)
             # The candidate for r0 is values[p - r0].  Windows of one or two
             # entries, every window of all-distinct input, are decided
-            # without building a list.
-            if hi == lo + 1:
+            # without building a list; one entry is compared with itself.
+            if hi == lo + 1 or hi == lo:
                 best = values[p - lo]
                 other = values[p - hi]
                 if other > best:
                     best = other
-            elif hi == lo:
-                best = values[p - lo]
             elif hi < lo:
                 raise InternalInconsistency(
                     f"empty transition window at level {level}, state p={p}, q={q}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from dataclasses import replace
@@ -16,7 +17,7 @@ from linecut.cli import (
     run_verify,
 )
 from linecut.errors import LinecutError
-from linecut.formats import parse_instance
+from linecut.formats import parse_instance, render_instance
 from linecut.model import MAX_POINTS, Solution
 
 
@@ -398,6 +399,26 @@ class TestVerify:
         assert run_verify(4, 3, 0).ok
         with pytest.raises(LinecutError):
             run_verify(5, 1, 0)
+
+    # stdout, and the digest of the trial instances' renderings in order,
+    # frozen from the first run of each setting.  A passing run's stdout
+    # depends only on the drawn sizes; the digest pins every other draw.
+    @pytest.mark.parametrize("n_max, trials, seed, checks, digest", [
+        (5, 12, 3, 98, "d45f904eec91c94b3b35459a5db40b587d0108e56269189c3f978bdb4e9ed694"),
+        (8, 9, 0, 101, "29be6bb5ff27ece6213bde519cefed9802cc6ca020300e42b37b52513032430e"),
+        (12, 6, (1 << 64) - 1, 106,
+         "7d2eff41f423e73292747778db55912a8bc7d06e58f7faa515c81e1e6052c7ca"),
+    ], ids=["n5-t12-s3", "n8-t9-s0", "n12-t6-smax"])
+    def test_golden_output(self, capsys, n_max, trials, seed, checks, digest):
+        code, out, _ = run_cli(capsys, "verify", "--n-max", str(n_max),
+                               "--trials", str(trials), "--seed", str(seed))
+        assert (code, out) == (
+            0, f"trials: {trials}\nchecks: {checks}\nfailures: 0\nresult: PASS\n"
+        )
+        texts = "".join(
+            render_instance(cli._verify_instance(n_max, seed, idx)) for idx in range(trials)
+        )
+        assert hashlib.sha256(texts.encode()).hexdigest() == digest
 
 
 class TestBench:

@@ -11,9 +11,22 @@ from linecut.formats import render_instance
 from linecut.gen import GenKind, GenSpec, SplitMix64, _composition, derive_seed, generate
 from linecut.model import MAX_POINTS, compress
 
-# Digest of the canonical rendering of (uniform, n=100, span=10^6, seed=42),
-# frozen from the first run; any drift in the PRNG or rendering breaks this.
-GOLDEN_UNIFORM_SHA256 = "42602d54d4d4331e5deb8bfa4a0fac7c0c49e3fe23146014823461be99233fe3"
+# Digests of the canonical rendering of generated instances (span=10^6,
+# seed=42), frozen from the first run of each; any drift in the PRNG, the
+# order of draws or the rendering breaks them.  distinct_target=1 is the
+# one-part composition, and n=2 clustered has the default count min(3, n) = 2.
+GOLDEN_SHA256 = {
+    (GenKind.UNIFORM, 100, None):
+        "42602d54d4d4331e5deb8bfa4a0fac7c0c49e3fe23146014823461be99233fe3",
+    (GenKind.DUPLICATES, 100, None):
+        "cfe74fd6c0967c9c835ba300efcfe058c21b06ad2ab5eae636359d5bd29222bb",
+    (GenKind.DUPLICATES, 100, 1):
+        "29337f09e2dc929a6324c71b7b7d13a1fa328f3d1bbd0035eae481a6a565fc74",
+    (GenKind.CLUSTERED, 100, None):
+        "714b3d926b2b2572e8ba805dbc950c5312ebfb7af67fe745277758d6133e8982",
+    (GenKind.CLUSTERED, 2, None):
+        "71e75f70f58c00217c79df959ff235acee30963d72bd21fe7e2562ba20e4f1ea",
+}
 
 
 class TestSplitMix64:
@@ -91,8 +104,10 @@ class TestGenSpecValidation:
 
 class TestGenerate:
     def test_golden_digest(self):
-        text = render_instance(generate(GenSpec(GenKind.UNIFORM, 100, 10**6, 42)))
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_UNIFORM_SHA256
+        for (kind, n, target), digest in GOLDEN_SHA256.items():
+            spec = GenSpec(kind, n, 10**6, 42, distinct_target=target)
+            text = render_instance(generate(spec))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, n, target)
 
     def test_uniform_single_point(self):
         for seed in range(20):
@@ -145,8 +160,12 @@ class TestComposition:
     @given(st.integers(1, 60), st.data())
     def test_parts_sum_and_positivity(self, total, data):
         parts = data.draw(st.integers(1, total))
-        rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+        seed = data.draw(st.integers(0, 2**32))
+        rng = SplitMix64(seed)
         comp = _composition(rng, total, parts)
         assert len(comp) == parts
         assert sum(comp) == total
         assert all(c >= 1 for c in comp)
+        if parts == 1:
+            # One part needs no cut point, so the stream is left untouched.
+            assert rng.next_u64() == SplitMix64(seed).next_u64()
