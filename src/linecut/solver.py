@@ -18,7 +18,16 @@ computed; each other row is its mirror's, read backwards.
 
 The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
-size k.  The assignment is taken from diagonal k alone, re-filled on the
+size k, and one fill answers every size.  ``size_scores`` folds the last
+level into the n + 1 per-size optimal scores, drops the table and keeps the
+scores for the two most recent (instance, objective) pairs only: two
+entries of n + 1 ints.  The 2n + 3 problems that ``verify`` poses on one
+instance thus cost two fills, and choosing the optimal size is a lookup.  A
+distinct instance, as every ``bench`` trial is, still fills.  Every call
+re-fills its own diagonal and sweeps its own profile, so a score read from
+the cache is checked again on every call.
+
+The assignment is taken from diagonal k alone, re-filled on the
 reflected instance (coordinates negated, levels reversed), and the re-fill
 keeps scores only too: one or two entries are decided by one comparison,
 and only a wider window, which all-distinct input never has, is passed to
@@ -42,7 +51,8 @@ the optimal score back into a cut value.
 
 from __future__ import annotations
 
-from itertools import repeat
+import functools
+from itertools import chain, repeat
 from operator import add
 
 from .errors import InternalInconsistency
@@ -213,25 +223,54 @@ def fill_tables(ci: CompressedInstance, objective: Objective) -> list[list[int]]
     return top
 
 
-def scan_roots(
-    ci: CompressedInstance, top: list[list[int]], spec: ProblemSpec
-) -> tuple[list[int], int]:
+@functools.lru_cache(maxsize=2)
+def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]:
+    """The optimal score, sign * cut, of every first-set size k = 0..n.
+
+    Runs ``fill_tables`` and folds the last level into a tuple of n + 1
+    ints: ``scores[k]`` is the best of the states (p, k - p).  Only rows p <=
+    big // 2 are folded, into ``half``, each size by one ``max`` over a
+    strided slice of those rows laid end to end.  Row big - p mirrors row p
+    and covers the sizes n - k, so ``scores[k]`` is the better of ``half[k]``
+    and ``half[n - k]``, and ``scores[k] == scores[n - k]``.  The table is
+    dropped on return.
+
+    The scores of the two most recent (instance, objective) pairs are kept,
+    so the questions posed of one instance under both objectives cost two
+    fills.  Each caller still reconstructs and sweeps its own profile.
+    """
+    top = fill_tables(ci, objective)
+    n = ci.n
+    big = len(top) - 1
+    m_last = n - big
+    rows = big // 2 + 1
+    # Rows 0..rows - 1 end to end: state (p, k - p) sits at k + p * m_last,
+    # so size k's states are every m_last-th entry, p from lo to hi.
+    flat = list(chain.from_iterable(top[:rows]))
+    half = []
+    for k in range(rows + m_last):
+        lo = k - m_last if k > m_last else 0
+        hi = k if k < rows else rows - 1
+        half.append(max(flat[k + lo * m_last : k + hi * m_last + 1 : m_last]))
+    h = len(half)
+    low = [half[k] if n - k >= h else max(half[k], half[n - k]) for k in range(n // 2 + 1)]
+    return tuple(low + low[(n - 1) // 2 :: -1])
+
+
+def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], int]:
     """Return ``(sizes, score)``: the optimal score and the sizes reaching it.
 
-    ``top`` and the score are sign * cut.  Last-level state (p, r) has
-    first-set size p + r.  Exact size k: the best of the states with
-    p + r = k, and the sizes ``[k]``.  Unconstrained: the best of every
-    state, and the sizes of all the states that reach it, ascending.
+    ``scores[k]`` is the optimal score, sign * cut, of first-set size k, as
+    ``size_scores`` returns it.  Exact size k: ``scores[k]`` and the sizes
+    ``[k]``.  Unconstrained: the best score and every size reaching it,
+    ascending.
     """
-    spec.validate_for(ci.n)
+    spec.validate_for(len(scores) - 1)
     k = spec.k
     if k is not None:
-        m_last = ci.mult[-1]
-        states = range(max(0, k - m_last), min(ci.n - m_last, k) + 1)
-        return [k], max(top[p][k - p] for p in states)
-    score = max(map(max, top))
-    sizes = {p + r for p, row in enumerate(top) for r, v in enumerate(row) if v == score}
-    return sorted(sizes), score
+        return [k], scores[k]
+    score = max(scores)
+    return [k for k, v in enumerate(scores) if v == score], score
 
 
 def fill_diagonal(
@@ -340,7 +379,7 @@ def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     the smallest over every optimal first-set size.
     """
     spec.validate_for(ci.n)
-    sizes, score = scan_roots(ci, fill_tables(ci, spec.objective), spec)
+    sizes, score = scan_roots(size_scores(ci, spec.objective), spec)
     profile = min(reconstruct(ci, k, spec.objective, score) for k in sizes)
     value = score if spec.objective is Objective.MAX else -score
     if cut_value_sweep(ci, profile) != value:

@@ -23,15 +23,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def faulty_transition(monkeypatch):
+def fresh_scores():
+    """Start and end the test with an empty ``solver.size_scores`` cache.
+
+    ``solve`` answers every question on an instance from the scores of one
+    fill per objective, kept for the two most recent (instance, objective)
+    pairs.  A test that patches what the fill reads must neither be answered
+    from scores filled before its patch nor leave scores filled under it to
+    the tests after it.
+    """
+    solver.size_scores.cache_clear()
+    yield
+    solver.size_scores.cache_clear()
+
+
+@pytest.fixture
+def faulty_transition(monkeypatch, fresh_scores):
     """Break the recurrence: shift the transition window's lower end up by one.
 
     ``fill_level``, ``fill_diagonal`` (the re-fill behind ``reconstruct``)
     and ``reconstruct``'s backtrack, the root's step included, look
     ``transition_bounds`` up at call time, so the row fill, the diagonal
-    re-fill and the choice of every count all see the shifted window.  Checks
-    that must catch a broken solver run with this fixture; it only reaches
-    the current process.
+    re-fill and the choice of every count all see the shifted window.  The
+    score cache is empty when the shift is installed and emptied again at
+    tear-down, so every solve under it fills under it and no score filled
+    under it outlives the test; a test that undoes the shift and solves an
+    instance it already solved clears the cache itself.  Checks that must
+    catch a broken solver run with this fixture; it only reaches the
+    current process.
     """
     exact = solver.transition_bounds
 

@@ -31,6 +31,7 @@ from linecut.solver import (
     fill_level,
     fill_tables,
     scan_roots,
+    size_scores,
     solve,
     transition_bounds,
 )
@@ -405,6 +406,7 @@ class TestRowWiseFill:
             with pytest.raises(InternalInconsistency):
                 solve(ci, spec)
         monkeypatch.undo()
+        solver.size_scores.cache_clear()  # solve again from a fill without the shift
         assert solve(ci, ProblemSpec.max_partition(2)).value == 8
 
 
@@ -431,7 +433,7 @@ class TestDiagonalRefill:
     )
     def test_ties_pick_the_smallest_r0(self, xs, k, width, objective, reflected):
         ci = ci_of(*[-x if reflected else x for x in xs])
-        score = scan_roots(ci, fill_tables(ci, objective), ProblemSpec(objective, k))[1]
+        score = scan_roots(size_scores(ci, objective), ProblemSpec(objective, k))[1]
         profile = solver.reconstruct(ci, k, objective, score)
         known = 0
         for lo, candidates, r0 in path_windows(ci, k, objective, profile):
@@ -471,26 +473,71 @@ class TestDiagonalRefill:
 
 class TestScanRoots:
     def test_unconstrained(self):
-        ci = ci_of(0, 1, 2)
-        top = fill_tables(ci, Objective.MAX)
-        sizes, value = scan_roots(ci, top, ProblemSpec.max_cut())
+        scores = size_scores(ci_of(0, 1, 2), Objective.MAX)
+        assert scores == (0, 3, 3, 0)
+        sizes, value = scan_roots(scores, ProblemSpec.max_cut())
         assert value == 3
         assert sizes == [1, 2]
 
     def test_exact_k(self):
         ci = ci_of(0, 1, 2, 3)
-        top_max = fill_tables(ci, Objective.MAX)
-        _, v_max = scan_roots(ci, top_max, ProblemSpec.max_partition(2))
+        _, v_max = scan_roots(size_scores(ci, Objective.MAX), ProblemSpec.max_partition(2))
         assert v_max == 8
-        top_min = fill_tables(ci, Objective.MIN)
-        _, v_min = scan_roots(ci, top_min, ProblemSpec.min_partition(2))
+        _, v_min = scan_roots(size_scores(ci, Objective.MIN), ProblemSpec.min_partition(2))
         assert v_min == -6  # the score, -cut, of the optimum
 
     def test_bad_k(self):
-        ci = ci_of(0, 1)
-        top = fill_tables(ci, Objective.MAX)
+        scores = size_scores(ci_of(0, 1), Objective.MAX)
         with pytest.raises(InvalidK):
-            scan_roots(ci, top, ProblemSpec.max_partition(5))
+            scan_roots(scores, ProblemSpec.max_partition(5))
+
+
+class TestOneFillPerInstance:
+    """``size_scores`` fills once per (instance, objective) for every size."""
+
+    def test_all_specs_fill_twice(self):
+        ci, other = ci_of(0, 0, 1, 3, 3, 3, 7, 12), ci_of(4, 4, 9)
+        size_scores.cache_clear()
+        for spec in all_specs(ci.n):
+            solve(ci, spec)
+        assert size_scores.cache_info().misses == 2
+        # An equal instance built anew is the same key.
+        solve(ci_of(12, 7, 3, 3, 3, 1, 0, 0), ProblemSpec.min_partition(4))
+        solve(other, ProblemSpec.max_cut())
+        info = size_scores.cache_info()
+        assert (info.misses, info.currsize) == (3, 2)
+
+    @given(st.one_of(compressed_instances(max_n=10), duplicate_heavy_cis))
+    def test_answers_do_not_depend_on_call_order(self, ci):
+        specs = all_specs(ci.n)
+
+        def answers(order, clear):
+            out = {}
+            for spec in order:
+                if clear:
+                    size_scores.cache_clear()
+                sol = solve(ci, spec)
+                out[spec] = (sol.value, sol.profile)
+            return out
+
+        size_scores.cache_clear()
+        forwards = answers(specs, clear=False)
+        assert answers(specs[::-1], clear=False) == forwards
+        assert answers(specs, clear=True) == forwards
+
+    @pytest.mark.parametrize("kind", list(GenKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_scores_are_the_diagonal_maxima(self, kind, objective):
+        for n in (1, 2, 3, 8, 13, 31, 48, 60):
+            ci = compress(generate(GenSpec(kind, n, 10**4, derive_seed(11, n))))
+            top = fill_tables(ci, objective)
+            diagonals = [[] for _ in range(n + 1)]
+            for p, row in enumerate(top):
+                for r, v in enumerate(row):
+                    diagonals[p + r].append(v)
+            scores = size_scores(ci, objective)
+            assert scores == tuple(max(d) for d in diagonals)
+            assert scores == scores[::-1]  # scores[k] == scores[n - k]
 
 
 class TestSolve:
@@ -600,8 +647,10 @@ class TestSelfChecks:
         [ProblemSpec.max_cut(), ProblemSpec.max_partition(2), ProblemSpec.min_partition(2)],
         ids=["max-cut", "max-partition", "min-partition"],
     )
-    def test_row_fill_off_by_one(self, monkeypatch, spec):
+    def test_row_fill_off_by_one(self, monkeypatch, fresh_scores, spec):
         # Every top-table entry one larger: the diagonal re-fill misses it.
+        # fresh_scores: solve must fill through the patch, not read scores
+        # an earlier test left for this instance.
         exact = solver.fill_tables
 
         def inflated(ci, objective):
@@ -662,6 +711,7 @@ class TestFaultHook:
         with pytest.raises(InternalInconsistency):
             solver.reconstruct(ci, 2, Objective.MAX, 2)
         monkeypatch.undo()
+        solver.size_scores.cache_clear()  # solve again from a fill without the shift
         assert solver.reconstruct(ci, 2, Objective.MAX, 2) == (1, 1)
         assert solve(ci, ProblemSpec.max_cut()).value == 3
 
