@@ -28,17 +28,18 @@ re-fills its own diagonal and sweeps its own profile, so a score read from
 the cache is checked again on every call.
 
 The assignment is taken from diagonal k alone, re-filled on the
-reflected instance (coordinates negated, levels reversed), and the re-fill
-keeps scores only too: one or two entries are decided by one comparison,
-and only a wider window, which all-distinct input never has, is passed to
-``max``.  The backtrack then makes every choice by one rule.  The
-root is one more transition, into a level past the last; from it down, each
-step takes the smallest r0 whose candidate reaches the window's best.  That
-fixes the counts from the original left end onwards, each the smallest that
-still reaches the optimum: the lexicographically smallest optimal profile
-of size k.  Max-cut re-fills every size whose diagonal reaches the optimum
-and reports the smallest of their profiles, the profile the exhaustive
-oracle returns too.
+reflected instance (coordinates negated, levels reversed), which is built
+once per instance and kept on it as ``CompressedInstance.reflected``.  The
+re-fill keeps scores only too.  It and the backtrack decide a window of one
+or two entries by one comparison, and only a wider window, which
+all-distinct input never has, is passed to ``max``.  The backtrack makes
+every choice by one rule.  The root is one more transition, into a level
+past the last; from it down, each step takes the smallest r0 whose
+candidate reaches the window's best.  That fixes the counts from the
+original left end onwards, each the smallest that still reaches the
+optimum: the lexicographically smallest optimal profile of size k.  Max-cut
+re-fills every size whose diagonal reaches the optimum and reports the
+smallest of their profiles, the profile the exhaustive oracle returns too.
 
 Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
 states, a few comparisons each whatever the window's width, so on the order
@@ -331,40 +332,49 @@ def reconstruct(
     """Lexicographically smallest optimal profile of first-set size k.
 
     ``value`` is the optimal score of size k, sign * cut.  Diagonal k is
-    re-filled on the reflected instance, whose last level is the original
-    first coordinate.  The root is one more transition, into state (k, 0)
-    of a level past the last, and its best candidate must be ``value``.
-    Every step from there down to level 2, the root's included, takes its
-    window from ``transition_bounds``, chooses the smallest r0 whose
-    candidate reaches the window's best, which is the count at the next
-    original coordinate, and moves to state (p - r0, k - p + r0).
+    re-filled on ``ci.reflected``, whose last level is the original first
+    coordinate; every call on one instance re-fills the same reflected
+    object.  The root is one more transition, into state (k, 0) of a level
+    past the last, and its best candidate must be ``value``.  Every step
+    from there down to level 2, the root's included, takes its window from
+    ``transition_bounds``, chooses the smallest r0 whose candidate reaches
+    the window's best, which is the count at the next original coordinate,
+    and moves to state (p - r0, k - p + r0).  A window of one or two entries
+    is decided by one comparison; a wider one by a ``max`` over its slice
+    and a scan for the first entry reaching it.
     """
-    # A tuple from a list, not a generator: a tuple built from a generator is
-    # resized, and each call would leave one more block on the tuple free list.
-    mirror = CompressedInstance(
-        xs=tuple([-x for x in reversed(ci.xs)]), mult=ci.mult[::-1]
-    )
+    mirror = ci.reflected
     rows = fill_diagonal(mirror, k, objective)
+    prefix = mirror.prefix
+    mult = mirror.mult
     p = k
     profile = []
     for level in range(ci.l + 1, 1, -1):
         values = rows[level - 2]
-        q = mirror.prefix[level - 1] - p
-        lo, hi = transition_bounds(p, q, mirror.mult[level - 2])
-        if lo > hi:
+        q = prefix[level - 1] - p
+        lo, hi = transition_bounds(p, q, mult[level - 2])
+        # One or two entries, every window of all-distinct input, are decided
+        # by one comparison, the smaller r0 winning a tie; one entry is
+        # compared with itself.
+        if hi == lo + 1 or hi == lo:
+            best = values[p - lo]
+            r0 = lo
+            if values[p - hi] > best:
+                best = values[p - hi]
+                r0 = hi
+        elif hi < lo:
             raise InternalInconsistency(
                 f"empty transition window at level {level}, state p={p}, q={q}"
             )
-        best = max(values[p - hi : p - lo + 1])
+        else:
+            best = max(values[p - hi : p - lo + 1])
+            r0 = lo
+            while values[p - r0] != best:
+                r0 += 1
         if level > ci.l and best != value:
             raise InternalInconsistency(
                 f"re-filled diagonal {k} misses the optimum {value}"
             )
-        # A generator with next() here cost about a third more per call on
-        # all-distinct input of n = 12.
-        r0 = lo
-        while values[p - r0] != best:
-            r0 += 1
         profile.append(r0)
         p -= r0
     if p != 0:

@@ -26,7 +26,7 @@ from linecut.model import (
     validate_profile,
 )
 
-from conftest import ci_of, compressed_with_profile, instances, wide_coords
+from conftest import all_specs, ci_of, compressed_with_profile, instances, wide_coords
 
 
 class TestInstance:
@@ -108,9 +108,10 @@ class TestCompressedInstance:
         with pytest.raises(InternalInconsistency):
             CompressedInstance(xs=xs, mult=mult)
 
-    @given(instances(max_n=10, coord=wide_coords))
+    @given(instances(max_n=10, coord=wide_coords, max_scale=3))
     def test_reflection_equals_compress_of_negated(self, inst):
-        # The instance reconstruct re-fills, caught on its way to fill_diagonal.
+        # The instance reconstruct re-fills, caught on its way to fill_diagonal:
+        # every question asked of one instance re-fills the same object.
         seen = []
         exact = solver.fill_diagonal
 
@@ -118,12 +119,30 @@ class TestCompressedInstance:
             seen.append(ci)
             return exact(ci, k, objective)
 
+        ci = compress(inst)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "fill_diagonal", spy)
-            solver.solve(compress(inst), ProblemSpec.max_cut())
-        assert seen
-        negated = compress(Instance(tuple([-x for x in inst.scaled])))
-        assert all(mirror == negated for mirror in seen)
+            for spec in all_specs(ci.n):
+                solver.solve(ci, spec)
+        assert len(seen) >= 2 * ci.n + 3
+        assert all(mirror is ci.reflected for mirror in seen)
+        negated = compress(Instance(tuple([-x for x in inst.scaled]), inst.scale_exp))
+        assert ci.reflected == negated
+        assert ci.reflected.reflected == ci
+
+    @given(instances(max_n=10, coord=wide_coords, max_scale=3))
+    def test_reflection_leaves_equality_and_hash_alone(self, inst):
+        # The score and oracle caches are keyed by the instance, so reading
+        # the reflection must not change which key an instance is.
+        ci, twin = compress(inst), compress(inst)
+        before = hash(ci)
+        assert "reflected" not in vars(ci)
+        ci.reflected  # the first read builds and keeps it
+        assert "reflected" in vars(ci)
+        assert hash(ci) == before == hash(twin)
+        assert ci == twin and twin == ci
+        assert {twin: "hit"}[ci] == "hit"
+        assert ci.reflected.reflected is not ci  # no cycle back to ci
 
 
 class TestProblemSpec:

@@ -452,16 +452,27 @@ class TestDiagonalRefill:
     @pytest.mark.parametrize("objective", list(Objective))
     def test_narrow_windows_call_no_max_or_min(self, builtin_calls, objective, reflected):
         # All-distinct input has windows of one or two entries only, and
-        # those are decided without a max()/min() call.
+        # those are decided without a max()/min() call, in the re-fill and in
+        # the backtrack, the root's step included.
         sign = -1 if reflected else 1
         for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
             ci = ci_of(*[sign * x for x in xs])
+            scores = size_scores(ci, objective)
+            del builtin_calls[:]  # the fold's, not the re-fill's
             for k in range(ci.n + 1):
                 fill_diagonal(ci, k, objective)
+                solver.reconstruct(ci, k, objective, scores[k])
         assert builtin_calls == []
         # Diagonal 3 of this instance has one three-entry window, at level 3.
-        fill_diagonal(ci_of(*[sign * x for x in (0, 0, 1, 1, 2, 2)]), 3, objective)
+        ci = ci_of(*[sign * x for x in (0, 0, 1, 1, 2, 2)])
+        fill_diagonal(ci, 3, objective)
         assert builtin_calls == [max]
+        # The backtrack's root window, r0 in 0..2, has three entries too: it
+        # makes a max() call of its own besides the re-fill's.
+        score = size_scores(ci, objective)[3]
+        del builtin_calls[:]
+        solver.reconstruct(ci, 3, objective, score)
+        assert len(builtin_calls) >= 2 and set(builtin_calls) == {max}
 
     # Medium n, past the hypothesis strategies' reach, on every generator kind.
     @pytest.mark.parametrize("kind", list(GenKind), ids=lambda kind: kind.value)
