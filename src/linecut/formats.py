@@ -5,14 +5,11 @@ Instance files are UTF-8 text, one point per line as ``<decimal>`` or
 end at ``\\n``, ``\\r\\n`` or ``\\r``; spaces and tabs separate fields.  ``#``
 starts a comment; blank lines are skipped.  Decimals are stored as integers
 at a shared power-of-ten scale, so parsing and rendering are exact (no
-floats anywhere).  Rendering keeps the text of the most recent instance's
-coordinates, so the many solutions ``verify`` renders for one instance
-format each coordinate once.
+floats anywhere).
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
@@ -22,7 +19,6 @@ from .model import (
     MAX_ABS_COORD,
     MAX_POINTS,
     MAX_SCALE_EXP,
-    CompressedInstance,
     Instance,
     Solution,
     compress,
@@ -124,16 +120,6 @@ def format_value(scaled: int, scale_exp: int) -> str:
     return sign + whole + (f".{frac}" if frac else "")
 
 
-@functools.lru_cache(maxsize=1)
-def _coordinate_text(ci: CompressedInstance) -> tuple[str, ...]:
-    """``format_value`` of every distinct coordinate, for the most recent instance.
-
-    Keyed by the instance, scale included, so every solution rendered for it
-    formats its coordinates once.
-    """
-    return tuple([format_value(x, ci.scale_exp) for x in ci.xs])
-
-
 def render_instance(instance: Instance) -> str:
     """Canonical text for an instance: sorted, merged, multiplicity column when > 1."""
     ci = compress(instance)
@@ -161,8 +147,8 @@ def render_solution(
     rows = None
     if sol.profile is not None:
         rows = [
-            (x, a, m - a)
-            for x, m, a in zip(_coordinate_text(ci), ci.mult, sol.profile)
+            (format_value(x, ci.scale_exp), a, m - a)
+            for x, m, a in zip(ci.xs, ci.mult, sol.profile)
         ]
     value = format_value(sol.value, ci.scale_exp)
 

@@ -14,7 +14,6 @@ profile: how many copies of each distinct coordinate sit in the first set.
 from __future__ import annotations
 
 import enum
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -121,8 +120,7 @@ class CompressedInstance:
 
     ``xs`` is strictly increasing.  ``prefix`` and ``n`` are derived:
     ``prefix[i]`` counts the points at the first i distinct coordinates, so
-    ``prefix[0] == 0`` and ``prefix[l] == n``.  ``reflected``, the instance
-    the solver's backtrack re-fills, is built on first use and kept.
+    ``prefix[0] == 0`` and ``prefix[l] == n``.
     """
 
     xs: tuple[int, ...]
@@ -148,21 +146,6 @@ class CompressedInstance:
     @property
     def l(self) -> int:
         return len(self.xs)
-
-    @functools.cached_property
-    def reflected(self) -> "CompressedInstance":
-        """The instance reflected about 0: coordinates negated, levels reversed.
-
-        Built on first use and kept in the instance's ``__dict__``; it is not a
-        field, so ``==`` and ``hash`` do not see it.
-        """
-        # A tuple from a list, not a generator: a tuple built from a generator
-        # is resized, and leaves one more block on the tuple free list.
-        return CompressedInstance(
-            xs=tuple([-x for x in reversed(self.xs)]),
-            mult=self.mult[::-1],
-            scale_exp=self.scale_exp,
-        )
 
 
 def compress(instance: Instance) -> CompressedInstance:
@@ -196,21 +179,16 @@ def cut_value_sweep(ci: CompressedInstance, a: Sequence[int]) -> int:
     ``g * (first_left * second_right + second_left * first_right)``.
     """
     validate_profile(ci, a)
-    # Indexed locals: at n = 11..13 a call took about 10% less than reading
-    # ci's attributes on every gap, and about 5% less than a zip over slices.
-    n = ci.n
-    xs = ci.xs
-    prefix = ci.prefix
     total_first = sum(a)
     first_left = 0
     acc = 0
-    for i in range(len(xs) - 1):
+    for i in range(ci.l - 1):
+        g = ci.xs[i + 1] - ci.xs[i]
         first_left += a[i]
-        left = prefix[i + 1]
-        second_left = left - first_left
+        second_left = ci.prefix[i + 1] - first_left
         first_right = total_first - first_left
-        second_right = (n - left) - first_right
-        acc += (xs[i + 1] - xs[i]) * (first_left * second_right + second_left * first_right)
+        second_right = (ci.n - ci.prefix[i + 1]) - first_right
+        acc += g * (first_left * second_right + second_left * first_right)
     return acc
 
 

@@ -28,18 +28,18 @@ re-fills its own diagonal and sweeps its own profile, so a score read from
 the cache is checked again on every call.
 
 The assignment is taken from diagonal k alone, re-filled on the
-reflected instance (coordinates negated, levels reversed), which is built
-once per instance and kept on it as ``CompressedInstance.reflected``.  The
-re-fill keeps scores only too.  It and the backtrack decide a window of one
-or two entries by one comparison, and only a wider window, which
-all-distinct input never has, is passed to ``max``.  The backtrack makes
-every choice by one rule.  The root is one more transition, into a level
-past the last; from it down, each step takes the smallest r0 whose
-candidate reaches the window's best.  That fixes the counts from the
-original left end onwards, each the smallest that still reaches the
-optimum: the lexicographically smallest optimal profile of size k.  Max-cut
-re-fills every size whose diagonal reaches the optimum and reports the
-smallest of their profiles, the profile the exhaustive oracle returns too.
+reflected instance (coordinates negated, levels reversed), which
+``reflected`` keeps for the most recent instance.  The re-fill keeps scores
+only too.  It and the backtrack decide a window of one or two entries by
+one comparison, and only a wider window, which all-distinct input never
+has, is passed to ``max``.  The backtrack makes every choice by one rule.
+The root is one more transition, into a level past the last; from it down,
+each step takes the smallest r0 whose candidate reaches the window's best.
+That fixes the counts from the original left end onwards, each the smallest
+that still reaches the optimum: the lexicographically smallest optimal
+profile of size k.  Max-cut re-fills every size whose diagonal reaches the
+optimum and reports the smallest of their profiles, the profile the
+exhaustive oracle returns too.
 
 Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
 states, a few comparisons each whatever the window's width, so on the order
@@ -258,6 +258,21 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
     return tuple(low + low[(n - 1) // 2 :: -1])
 
 
+@functools.lru_cache(maxsize=1)
+def reflected(ci: CompressedInstance) -> CompressedInstance:
+    """``ci`` reflected about 0: coordinates negated, levels reversed.
+
+    ``reconstruct`` re-fills its diagonal on it.  The reflection of the most
+    recent instance is kept, so the questions posed of one instance build
+    and validate it once.
+    """
+    return CompressedInstance(
+        xs=tuple([-x for x in reversed(ci.xs)]),
+        mult=ci.mult[::-1],
+        scale_exp=ci.scale_exp,
+    )
+
+
 def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], int]:
     """Return ``(sizes, score)``: the optimal score and the sizes reaching it.
 
@@ -332,7 +347,7 @@ def reconstruct(
     """Lexicographically smallest optimal profile of first-set size k.
 
     ``value`` is the optimal score of size k, sign * cut.  Diagonal k is
-    re-filled on ``ci.reflected``, whose last level is the original first
+    re-filled on ``reflected(ci)``, whose last level is the original first
     coordinate; every call on one instance re-fills the same reflected
     object.  The root is one more transition, into state (k, 0) of a level
     past the last, and its best candidate must be ``value``.  Every step
@@ -343,7 +358,7 @@ def reconstruct(
     is decided by one comparison; a wider one by a ``max`` over its slice
     and a scan for the first entry reaching it.
     """
-    mirror = ci.reflected
+    mirror = reflected(ci)
     rows = fill_diagonal(mirror, k, objective)
     prefix = mirror.prefix
     mult = mirror.mult

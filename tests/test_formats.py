@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-import linecut.formats as formats
 from linecut.errors import InstanceEmpty, ParseError, PrecisionError, RangeError
 from linecut.formats import (
     format_value,
@@ -26,7 +24,7 @@ from linecut.model import (
 )
 from linecut.solver import solve
 
-from conftest import all_specs, instances, wide_coords
+from conftest import instances, wide_coords
 
 
 class TestParse:
@@ -381,45 +379,6 @@ class TestRenderSolution:
         ci = compress(Instance((0, 10)))
         sol = solve(ci, ProblemSpec.max_cut())
         assert "elapsed_ns" not in render_solution(sol, "text")
-
-    def test_instances_differing_only_in_scale_interleave(self):
-        # Equal xs at different scales are different instances, so the
-        # coordinate text kept for one is never rendered for another.
-        xs = (-1234, 0, 5, 70, 600, 600)
-        sols = [
-            solve(compress(Instance(xs, scale)), ProblemSpec.max_partition(3))
-            for scale in range(4)
-        ]
-        for sol in sols + sols[::-1] + sols:
-            assert render_solution(sol, "json") == reference_json(sol, None, None)
-            text = render_solution(sol, "text").splitlines()
-            ci = sol.ci
-            assert text[5:] == [
-                f"  {format_value(x, ci.scale_exp)}: {a} | {m - a}"
-                for x, m, a in zip(ci.xs, ci.mult, sol.profile)
-            ]
-
-    def test_renders_of_one_instance_format_each_coordinate_once(self, monkeypatch):
-        # All 2n + 3 solutions of one instance, in both formats: each
-        # coordinate is formatted once, and each render formats its value.
-        ci = compress(Instance((-9, 0, 0, 4, 15, 15, 15, 23), scale_exp=1))
-        sols = [solve(ci, spec) for spec in all_specs(ci.n)]
-        exact = formats.format_value
-        calls = []
-
-        def spy(scaled, scale_exp):
-            calls.append(scaled)
-            return exact(scaled, scale_exp)
-
-        monkeypatch.setattr(formats, "format_value", spy)
-        formats._coordinate_text.cache_clear()
-        for sol in sols:
-            for fmt in ("json", "text"):
-                render_solution(sol, fmt)
-        want = Counter(ci.xs)
-        want.update(sol.value for sol in sols for fmt in ("json", "text"))
-        assert len(sols) == 2 * ci.n + 3
-        assert Counter(calls) == want
 
     def test_unknown_format(self):
         ci = compress(Instance((0, 10)))
