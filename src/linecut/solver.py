@@ -24,21 +24,18 @@ scores for the two most recent (instance, objective) pairs only: two
 entries of n + 1 ints.  The 2n + 3 problems that ``verify`` poses on one
 instance thus cost two fills, and choosing the optimal size is a lookup.  A
 distinct instance, as every ``bench`` trial is, still fills.  Every call
-re-fills its own diagonal and sweeps its own profile, so a score read from
-the cache is checked again on every call.
+runs its own rank DP and sweeps its own profile, so a score read from the
+cache is checked again on every call.
 
-The assignment is taken from diagonal k alone, re-filled on the
-reflected instance (coordinates negated, levels reversed), which
-``reflected`` keeps for the most recent instance.  The re-fill keeps scores
-only too.  It and the backtrack decide a window of one or two entries by
-one comparison, and only a wider window, which all-distinct input never
-has, is passed to ``max``.  The backtrack makes every choice by one rule.
-The root is one more transition, into a level past the last; from it down,
-each step takes the smallest r0 whose candidate reaches the window's best.
-That fixes the counts from the original left end onwards, each the smallest
-that still reaches the optimum: the lexicographically smallest optimal
-profile of size k.  Max-cut re-fills every size whose diagonal reaches the
-optimum and reports the smallest of their profiles, the profile the
+The assignment, and a check on the fill's score, come from a second exact
+recurrence that shares no code with the fill.  ``rankdp.solve_size`` writes
+the cut as S - W(A) - W(B), where W sums a set's pairwise distances by rank
+coefficients, and solves one size k by a backward pass over the distinct
+values and a forward pass that takes, from the left end onwards, the
+smallest count that still reaches the optimum: the lexicographically
+smallest optimal profile of size k.  ``reconstruct`` refuses it unless its
+score equals the fill's.  Max-cut runs it on every size whose score reaches
+the optimum and reports the smallest of their profiles, the profile the
 exhaustive oracle returns too.
 
 Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
@@ -64,6 +61,7 @@ from .model import (
     Solution,
     cut_value_sweep,
 )
+from .rankdp import solve_size
 
 
 def transition_bounds(p: int, q: int, m_prev: int) -> tuple[int, int]:
@@ -238,7 +236,8 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
 
     The scores of the two most recent (instance, objective) pairs are kept,
     so the questions posed of one instance under both objectives cost two
-    fills.  Each caller still reconstructs and sweeps its own profile.
+    fills.  Each caller still checks the score it reads against its own run
+    of the rank DP, and sweeps the profile that run returns.
     """
     top = fill_tables(ci, objective)
     n = ci.n
@@ -258,21 +257,6 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
     return tuple(low + low[(n - 1) // 2 :: -1])
 
 
-@functools.lru_cache(maxsize=1)
-def reflected(ci: CompressedInstance) -> CompressedInstance:
-    """``ci`` reflected about 0: coordinates negated, levels reversed.
-
-    ``reconstruct`` re-fills its diagonal on it.  The reflection of the most
-    recent instance is kept, so the questions posed of one instance build
-    and validate it once.
-    """
-    return CompressedInstance(
-        xs=tuple([-x for x in reversed(ci.xs)]),
-        mult=ci.mult[::-1],
-        scale_exp=ci.scale_exp,
-    )
-
-
 def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], int]:
     """Return ``(sizes, score)``: the optimal score and the sizes reaching it.
 
@@ -289,112 +273,22 @@ def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], i
     return [k for k, v in enumerate(scores) if v == score], score
 
 
-def fill_diagonal(
-    ci: CompressedInstance, k: int, objective: Objective
-) -> list[list[int]]:
-    """Fill diagonal k, the states (p, k - p), of every level.
-
-    Returns ``rows``: ``rows[level - 1][p]`` is the score, sign * cut, of
-    state (p, k - p) at that level.  The predecessors (p - r0, k - p + r0)
-    of a state lie on the same diagonal, so each level reads only the
-    diagonal below it.  Rows are indexed by p from 0: where p < k - (n -
-    big) no state exists, and the entry is a 0 that no window reaches.
-
-    Each state is handled by the width of its window lo..hi, which
-    ``transition_bounds`` gives.  One or two entries (hi == lo or hi ==
-    lo + 1) are decided by one ``>`` comparison, a single entry against
-    itself, and a wider window, which all-distinct input never has, is
-    sliced and passed to ``max``.  An empty window (lo > hi) raises
-    ``InternalInconsistency``.  No r0 is stored: ``reconstruct`` chooses
-    them on its path.
-    """
-    n = ci.n
-    sign = -1 if objective is Objective.MIN else 1
-    rows = [[0]]  # level 1: the single state (0, k)
-    for level in range(2, ci.l + 1):
-        values = rows[-1]
-        big = ci.prefix[level - 1]
-        m_prev = ci.mult[level - 2]
-        gap = sign * (ci.xs[level - 1] - ci.xs[level - 2])
-        slack = n - big - k  # state (p, k - p) has t = slack + p
-        p_lo = -slack if slack < 0 else 0
-        row = [0] * p_lo
-        for p in range(p_lo, (big if big < k else k) + 1):
-            q = big - p
-            lo, hi = transition_bounds(p, q, m_prev)
-            # The candidate for r0 is values[p - r0].  Windows of one or two
-            # entries, every window of all-distinct input, are decided
-            # without building a list; one entry is compared with itself.
-            if hi == lo + 1 or hi == lo:
-                best = values[p - lo]
-                other = values[p - hi]
-                if other > best:
-                    best = other
-            elif hi < lo:
-                raise InternalInconsistency(
-                    f"empty transition window at level {level}, state p={p}, q={q}"
-                )
-            else:
-                best = max(values[p - hi : p - lo + 1])
-            row.append(gap * (p * (slack + p) + q * (k - p)) + best)
-        rows.append(row)
-    return rows
-
-
 def reconstruct(
     ci: CompressedInstance, k: int, objective: Objective, value: int
 ) -> tuple[int, ...]:
     """Lexicographically smallest optimal profile of first-set size k.
 
-    ``value`` is the optimal score of size k, sign * cut.  Diagonal k is
-    re-filled on ``reflected(ci)``, whose last level is the original first
-    coordinate; every call on one instance re-fills the same reflected
-    object.  The root is one more transition, into state (k, 0) of a level
-    past the last, and its best candidate must be ``value``.  Every step
-    from there down to level 2, the root's included, takes its window from
-    ``transition_bounds``, chooses the smallest r0 whose candidate reaches
-    the window's best, which is the count at the next original coordinate,
-    and moves to state (p - r0, k - p + r0).  A window of one or two entries
-    is decided by one comparison; a wider one by a ``max`` over its slice
-    and a scan for the first entry reaching it.
+    ``value`` is the fill's optimal score of size k, sign * cut.  The profile
+    and a score of its own come from the rank-coefficient DP,
+    ``rankdp.solve_size``, which shares no code with the fill; unless that
+    score equals ``value``, this raises ``InternalInconsistency``.
     """
-    mirror = reflected(ci)
-    rows = fill_diagonal(mirror, k, objective)
-    prefix = mirror.prefix
-    mult = mirror.mult
-    p = k
-    profile = []
-    for level in range(ci.l + 1, 1, -1):
-        values = rows[level - 2]
-        q = prefix[level - 1] - p
-        lo, hi = transition_bounds(p, q, mult[level - 2])
-        # One or two entries, every window of all-distinct input, are decided
-        # by one comparison, the smaller r0 winning a tie; one entry is
-        # compared with itself.
-        if hi == lo + 1 or hi == lo:
-            best = values[p - lo]
-            r0 = lo
-            if values[p - hi] > best:
-                best = values[p - hi]
-                r0 = hi
-        elif hi < lo:
-            raise InternalInconsistency(
-                f"empty transition window at level {level}, state p={p}, q={q}"
-            )
-        else:
-            best = max(values[p - hi : p - lo + 1])
-            r0 = lo
-            while values[p - r0] != best:
-                r0 += 1
-        if level > ci.l and best != value:
-            raise InternalInconsistency(
-                f"re-filled diagonal {k} misses the optimum {value}"
-            )
-        profile.append(r0)
-        p -= r0
-    if p != 0:
-        raise InternalInconsistency("backtracking did not land on the base level")
-    return tuple(profile)
+    score, profile = solve_size(ci, k, objective)
+    if score != value:
+        raise InternalInconsistency(
+            f"the rank DP's size-{k} score {score} misses the optimum {value}"
+        )
+    return profile
 
 
 def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:

@@ -41,11 +41,13 @@ def fresh_scores():
 def faulty_transition(monkeypatch, fresh_scores):
     """Break the recurrence: shift the transition window's lower end up by one.
 
-    ``fill_level``, ``fill_diagonal`` (the re-fill behind ``reconstruct``)
-    and ``reconstruct``'s backtrack, the root's step included, look
-    ``transition_bounds`` up at call time, so the row fill, the diagonal
-    re-fill and the choice of every count all see the shifted window.  The
-    score cache is empty when the shift is installed and emptied again at
+    ``fill_level`` looks ``transition_bounds`` up at call time, so the row
+    fill sees the shifted window.  Only the fill does: the rank DP that
+    checks its score and picks the profile reads no transition window.  The
+    shifted window is empty at level 2, state p = 0, on every instance with
+    l >= 2, so every such solve raises there; an instance with l = 1 makes no
+    transition, and its answer, 0, is right under the shift too.  The score
+    cache is empty when the shift is installed and emptied again at
     tear-down, so every solve under it fills under it and no score filled
     under it outlives the test; a test that undoes the shift and solves an
     instance it already solved clears the cache itself.  Checks that must

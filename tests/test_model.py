@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-import linecut.solver as solver
 from linecut.errors import (
     InstanceEmpty,
     InternalInconsistency,
@@ -26,7 +25,7 @@ from linecut.model import (
     validate_profile,
 )
 
-from conftest import all_specs, ci_of, compressed_with_profile, instances, wide_coords
+from conftest import ci_of, compressed_with_profile, instances, wide_coords
 
 
 class TestInstance:
@@ -107,29 +106,6 @@ class TestCompressedInstance:
     def test_inconsistent_fields_rejected(self, xs, mult):
         with pytest.raises(InternalInconsistency):
             CompressedInstance(xs=xs, mult=mult)
-
-    @given(instances(max_n=10, coord=wide_coords, max_scale=3))
-    def test_reflection_equals_compress_of_negated(self, inst):
-        # The instance reconstruct re-fills, caught on its way to fill_diagonal:
-        # every question asked of one instance re-fills the same object.
-        seen = []
-        exact = solver.fill_diagonal
-
-        def spy(ci, k, objective):
-            seen.append(ci)
-            return exact(ci, k, objective)
-
-        ci = compress(inst)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "fill_diagonal", spy)
-            for spec in all_specs(ci.n):
-                solver.solve(ci, spec)
-        mirror = solver.reflected(ci)
-        assert len(seen) >= 2 * ci.n + 3
-        assert all(each is mirror for each in seen)
-        negated = compress(Instance(tuple([-x for x in inst.scaled]), inst.scale_exp))
-        assert mirror == negated
-        assert solver.reflected(mirror) == ci
 
 
 class TestProblemSpec:

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import ast
 import copy
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
 import linecut
+import linecut.rankdp as rankdp
 import linecut.solver as solver
 from linecut.cli import run_verify
 from linecut.errors import InternalInconsistency, InvalidK, UnsupportedProblem
@@ -27,7 +30,6 @@ from linecut.model import (
 from linecut.oracle import oracle_solve
 from linecut.solver import (
     base_level,
-    fill_diagonal,
     fill_level,
     fill_tables,
     scan_roots,
@@ -67,8 +69,6 @@ class TestFillLevel:
         values = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
         assert values[1][0] == 2
         assert values[0][2] == 2
-        # State (1, 0) lies on diagonal 1, and the re-fill's level 2 holds it.
-        assert fill_diagonal(ci, 1, Objective.MAX)[1][1] == values[1][0]
 
     def test_base_level_zero(self):
         assert base_level(3) == [[0, 0, 0, 0]]
@@ -116,7 +116,9 @@ def scalar_fill_level(ci, level, prev, objective, largest=False):
 
 
 def mirror_of(ci):
-    """The reflected instance that ``reconstruct`` re-fills."""
+    """``ci`` reflected about 0, whose last level is the original first
+    coordinate: backtracking its scalar scan fixes counts from the original
+    left end onwards."""
     return CompressedInstance(xs=tuple([-x for x in reversed(ci.xs)]), mult=ci.mult[::-1])
 
 
@@ -158,22 +160,20 @@ def scalar_backtrack(ci, objective, largest=False):
 
 
 def assert_matches_scalar_scan(ci):
-    """The row fill, the re-fill's rows on every diagonal and ``reconstruct``
-    at every size, against the scalar scan."""
+    """The row fill against the scalar scan, and at every size the rank DP's
+    score against ``size_scores`` and its profile against the scalar
+    backtrack's."""
     for objective in Objective:
-        refills = [fill_diagonal(ci, k, objective) for k in range(ci.n + 1)]
-        assert all(len(rows) == ci.l and rows[0] == [0] for rows in refills)
         prev = base_level(ci.n)
         for level in range(2, ci.l + 1):
             want_values, _ = scalar_fill_level(ci, level, prev, objective)
             values = fill_level(ci, level, prev, objective)
             assert values == want_values
-            for p, row in enumerate(want_values):
-                for r, v in enumerate(row):
-                    assert refills[p + r][level - 1][p] == v
             prev = values
+        scores = size_scores(ci, objective)
         for k, (score, profile) in scalar_backtrack(ci, objective).items():
-            assert solver.reconstruct(ci, k, objective, score) == profile
+            assert scores[k] == score
+            assert rankdp.solve_size(ci, k, objective) == (score, profile)
 
 
 def path_windows(ci, k, objective, profile):
@@ -193,7 +193,8 @@ def path_windows(ci, k, objective, profile):
 
 @pytest.fixture
 def builtin_calls(monkeypatch):
-    """Record every max() and min() call that the solver module makes."""
+    """Record every max() and min() call that the solver and rank DP modules
+    make."""
     calls = []
 
     def counting(builtin):
@@ -203,9 +204,10 @@ def builtin_calls(monkeypatch):
 
         return wrapper
 
-    # Module globals shadow the builtins that the solver looks up.
-    monkeypatch.setattr(solver, "max", counting(max), raising=False)
-    monkeypatch.setattr(solver, "min", counting(min), raising=False)
+    # Module globals shadow the builtins that the modules look up.
+    for module in (solver, rankdp):
+        monkeypatch.setattr(module, "max", counting(max), raising=False)
+        monkeypatch.setattr(module, "min", counting(min), raising=False)
     return calls
 
 
@@ -235,15 +237,15 @@ class TestRowWiseFill:
     @example(ci_of(*range(12)))
     @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
     def test_diagonals_match_row_fill(self, ci):
-        # Diagonal k of the top table holds the states (p, k - p).
+        # Diagonal k of the top table holds the states (p, k - p), and its
+        # best is the rank DP's optimum of size k.
         for objective in Objective:
             top = fill_tables(ci, objective)
             big = len(top) - 1
             for k in range(ci.n + 1):
-                values = fill_diagonal(ci, k, objective)[-1]
                 feasible = range(max(0, k - (ci.n - big)), min(big, k) + 1)
-                assert len(values) == feasible.stop
-                assert [values[p] for p in feasible] == [top[p][k - p] for p in feasible]
+                best = max(top[p][k - p] for p in feasible)
+                assert rankdp.solve_size(ci, k, objective)[0] == best
 
     @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
     def test_level_tables_are_centrally_symmetric(self, ci):
@@ -357,26 +359,15 @@ class TestRowWiseFill:
         xs = sorted(rng.sample(range(-(10**6), 10**6), len(mults)))
         ci = ci_of(*[x for x, m in zip(xs, mults) for _ in range(m)])
         assert ci.mult == tuple(mults)
-        diagonals = (1, n // 3, n // 2, n - 2)
         for objective in Objective:
-            refills = [fill_diagonal(ci, k, objective) for k in diagonals]
             reference = scalar_backtrack(ci, objective)
             table = base_level(n)
             for level in range(2, ci.l + 1):
                 want_values, _ = scalar_fill_level(ci, level, table, objective)
                 table = fill_level(ci, level, table, objective)
                 assert table == want_values
-                big = ci.prefix[level - 1]
-                # The re-fill's rows on diagonal k are the scalar scan's
-                # values on states (p, k - p).
-                for k, rows in zip(diagonals, refills):
-                    feasible = range(max(0, k - (n - big)), min(big, k) + 1)
-                    assert [rows[level - 1][p] for p in feasible] == [
-                        table[p][k - p] for p in feasible
-                    ]
-            for k in diagonals:
-                score, profile = reference[k]
-                assert solver.reconstruct(ci, k, objective, score) == profile
+            for k in (1, n // 3, n // 2, n - 2):
+                assert rankdp.solve_size(ci, k, objective) == reference[k]
 
     # reflected: the row fill run on the same coordinates negated.
     @pytest.mark.parametrize("reflected", [True, False])
@@ -411,8 +402,9 @@ class TestRowWiseFill:
 
 
 class TestDiagonalRefill:
-    """``fill_diagonal`` handles each state by the width of its window, and
-    ``reconstruct`` chooses each count on its path by one rule."""
+    """The rank DP solves one size k, one diagonal of the level tables: it
+    handles each state by the width of its window, and its forward pass
+    chooses each count by one rule, the smallest reaching the optimum."""
 
     # On each instance, under both objectives and on plain and reflected
     # coordinates, the path of diagonal k's profile, the root included,
@@ -451,34 +443,45 @@ class TestDiagonalRefill:
     @pytest.mark.parametrize("reflected", [False, True])
     @pytest.mark.parametrize("objective", list(Objective))
     def test_narrow_windows_call_no_max_or_min(self, builtin_calls, objective, reflected):
-        # All-distinct input has windows of one or two entries only, and
-        # those are decided without a max()/min() call, in the re-fill and in
-        # the backtrack, the root's step included.
+        # All-distinct input has windows of one or two entries only, and the
+        # rank DP decides those without a max()/min() call, in its backward
+        # pass and in its forward pass alike.
         sign = -1 if reflected else 1
         for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
             ci = ci_of(*[sign * x for x in xs])
             scores = size_scores(ci, objective)
-            del builtin_calls[:]  # the fold's, not the re-fill's
+            del builtin_calls[:]  # the fold's, not the rank DP's
             for k in range(ci.n + 1):
-                fill_diagonal(ci, k, objective)
                 solver.reconstruct(ci, k, objective, scores[k])
         assert builtin_calls == []
-        # Diagonal 3 of this instance has one three-entry window, at level 3.
+        # Two copies of each value: size 3 has three-entry windows, i' in
+        # i..i + 2, from the very first value on.
         ci = ci_of(*[sign * x for x in (0, 0, 1, 1, 2, 2)])
-        fill_diagonal(ci, 3, objective)
-        assert builtin_calls == [max]
-        # The backtrack's root window, r0 in 0..2, has three entries too: it
-        # makes a max() call of its own besides the re-fill's.
-        score = size_scores(ci, objective)[3]
-        del builtin_calls[:]
-        solver.reconstruct(ci, 3, objective, score)
-        assert len(builtin_calls) >= 2 and set(builtin_calls) == {max}
+        rankdp.solve_size(ci, 3, objective)
+        assert builtin_calls and set(builtin_calls) == {max}
 
-    # Medium n, past the hypothesis strategies' reach, on every generator kind.
-    @pytest.mark.parametrize("kind", list(GenKind), ids=lambda kind: kind.value)
-    @pytest.mark.parametrize("n", [40, 61, 80])
+    # Medium n, past the oracle's and the hypothesis strategies' reach: every
+    # generator kind, and n = 240 on eight values, the multiplicities ramped
+    # up as in the benchmark's duplicate-heavy decks.
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            *[
+                pytest.param(kind, n, id=f"{n}-{kind.value}")
+                for n in (40, 61, 80, 150)
+                for kind in GenKind
+            ],
+            pytest.param("multiset", 240, id="240-multiset"),
+        ],
+    )
     def test_medium_instances_match_scalar_scan(self, kind, n):
-        ci = compress(generate(GenSpec(kind, n, 10**4, derive_seed(7, n))))
+        if kind == "multiset":
+            mults = (10, 16, 22, 28, 32, 36, 44, 52)
+            xs = sorted(random.Random(n).sample(range(-(10**6), 10**6), len(mults)))
+            ci = ci_of(*[x for x, m in zip(xs, mults) for _ in range(m)])
+            assert ci.n == n
+        else:
+            ci = compress(generate(GenSpec(kind, n, 10**4, derive_seed(7, n))))
         assert_matches_scalar_scan(ci)
 
 
@@ -651,7 +654,9 @@ class TestSolve:
 
 
 class TestSelfChecks:
-    """``solve`` refuses an optimum its re-fill or its sweep does not confirm."""
+    """``solve`` refuses an optimum that the rank DP, a second exact
+    recurrence sharing no code with the fill, does not reach, and a profile
+    that does not sweep to the optimum."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -659,7 +664,7 @@ class TestSelfChecks:
         ids=["max-cut", "max-partition", "min-partition"],
     )
     def test_row_fill_off_by_one(self, monkeypatch, fresh_scores, spec):
-        # Every top-table entry one larger: the diagonal re-fill misses it.
+        # Every top-table entry one larger: the rank DP's score misses it.
         # fresh_scores: solve must fill through the patch, not read scores
         # an earlier test left for this instance.
         exact = solver.fill_tables
@@ -672,7 +677,7 @@ class TestSelfChecks:
             solve(ci_of(0, 1, 2, 3), spec)
 
     def test_value_the_refill_misses(self):
-        # The root step's best candidate must be the optimum it is given.
+        # The rank DP's score must be the optimum it is given.
         ci = ci_of(0, 1, 2, 3)
         assert solver.reconstruct(ci, 2, Objective.MAX, 8) == (0, 0, 1, 1)
         for value in (7, 9):
@@ -683,6 +688,27 @@ class TestSelfChecks:
         monkeypatch.setattr(solver, "cut_value_sweep", lambda ci, profile: -1)
         with pytest.raises(InternalInconsistency):
             solve(ci_of(0, 1, 2, 3), ProblemSpec.max_cut())
+
+    def test_rank_dp_imports_nothing_from_the_solver(self):
+        # Its score certifies the fill's only while the two share no code.
+        # Each import is named by its module and by each name it takes from
+        # there, which may be a submodule: ``from . import solver``.
+        tree = ast.parse(Path(rankdp.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(
+                    filter(None, ["linecut" if node.level else "", node.module])
+                )
+                imported.add(module)
+                imported.update(f"{module}.{alias.name}" for alias in node.names)
+        assert "linecut.model" in imported
+        assert not any(
+            name == "linecut.solver" or name.startswith("linecut.solver.")
+            for name in imported
+        )
 
 
 class TestImplementations:
@@ -718,30 +744,26 @@ class TestFaultHook:
         ci = ci_of(0, 0, 0, 1)
         with pytest.raises(InternalInconsistency):
             solve(ci, ProblemSpec.max_cut())
-        # The diagonal re-fill sees the shifted window too.
-        with pytest.raises(InternalInconsistency):
-            solver.reconstruct(ci, 2, Objective.MAX, 2)
         monkeypatch.undo()
         solver.size_scores.cache_clear()  # solve again from a fill without the shift
-        assert solver.reconstruct(ci, 2, Objective.MAX, 2) == (1, 1)
         assert solve(ci, ProblemSpec.max_cut()).value == 3
 
-    def test_empty_root_window_is_detected(self, monkeypatch):
-        # Only the root's window, the one lookup with p + q == n, is empty:
-        # the backtrack raises InternalInconsistency, not a bare ValueError.
-        ci = ci_of(0, 0, 0, 1)
+    def test_narrowed_window_reaches_the_value_check(self, monkeypatch, fresh_scores):
+        # Dropping the top entry of every window wider than one entry leaves
+        # no window empty, so the fill runs to its end with a worse score,
+        # and only the rank DP's value check can catch it.
+        ci = ci_of(0, 1, 2, 3)
+        spec = ProblemSpec.max_partition(2)
         exact = solver.transition_bounds
-        roots = []
 
-        def empty_root(p, q, m_prev):
-            if p + q == ci.n:
-                roots.append((p, q, m_prev))
-                return 1, 0
-            return exact(p, q, m_prev)
+        def narrowed(p, q, m_prev):
+            lo, hi = exact(p, q, m_prev)
+            return (lo, hi - 1) if hi > lo else (lo, hi)
 
-        monkeypatch.setattr(solver, "transition_bounds", empty_root)
-        with pytest.raises(InternalInconsistency, match="empty transition window"):
-            solver.reconstruct(ci, 2, Objective.MAX, 2)
-        assert roots == [(2, 2, 3)]
-        with pytest.raises(InternalInconsistency):
-            solve(ci, ProblemSpec.max_cut())
+        monkeypatch.setattr(solver, "transition_bounds", narrowed)
+        assert size_scores(ci, Objective.MAX)[2] == 6  # the optimum is 8
+        with pytest.raises(InternalInconsistency, match="score 8 misses the optimum 6"):
+            solve(ci, spec)
+        monkeypatch.undo()
+        solver.size_scores.cache_clear()  # solve again from a fill without the narrowing
+        assert solve(ci, spec).value == 8
