@@ -19,13 +19,15 @@ computed; each other row is its mirror's, read backwards.
 The table fill keeps values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
 size k, and one fill answers every size.  ``size_scores`` folds the last
-level into the n + 1 per-size optimal scores, drops the table and keeps the
-scores for the two most recent (instance, objective) pairs only: two
-entries of n + 1 ints.  The 2n + 3 problems that ``verify`` poses on one
-instance thus cost two fills, and choosing the optimal size is a lookup.  A
-distinct instance, as every ``bench`` trial is, still fills.  Every call
-runs its own rank DP and sweeps its own profile, so a score read from the
-cache is checked again on every call.
+level's rows p <= n // 2 into the optimal scores of the sizes k <= n // 2,
+one ``max`` per size, and the same symmetry gives the other half, as size
+n - k scores what size k does.  It drops the table and keeps the scores for
+the two most recent (instance, objective) pairs only: two entries of n + 1
+ints.  The 2n + 3 problems that ``verify`` poses on one instance thus cost
+two fills, and choosing the optimal size is a lookup.  A distinct instance,
+as every ``bench`` trial is, still fills.  Every call runs its own rank DP
+and sweeps its own profile, so a score read from the cache is checked again
+on every call.
 
 The assignment, and a check on the fill's score, come from a second exact
 recurrence that shares no code with the fill.  ``rankdp.solve_size`` writes
@@ -64,21 +66,6 @@ from .model import (
 from .rankdp import solve_size
 
 
-def transition_bounds(p: int, q: int, m_prev: int) -> tuple[int, int]:
-    """Feasible counts r0 of the previous coordinate's copies in the first set.
-
-    Of its m_prev copies, r0 join the first set (so r0 <= p) and the rest the
-    second (so m_prev - r0 <= q).  Returns (lo, hi); the range is empty
-    (lo > hi) only if p + q < m_prev, which cannot happen for well-formed
-    levels.
-    """
-    lo = m_prev - q
-    if lo < 0:
-        lo = 0
-    hi = p if p < m_prev else m_prev
-    return lo, hi
-
-
 def base_level(n: int) -> list[list[int]]:
     """Level-1 value table: single state p = 0, one column per r = 0..n, all zero."""
     return [[0] * (n + 1)]
@@ -96,6 +83,9 @@ def fill_level(
     cut, of the level's subproblem.  Exact for arbitrarily large
     coordinates (Python ints).
 
+    State (p, r) takes r0 of the previous coordinate's m_prev copies into the
+    first set and the rest into the second, so its window is the r0 with r0
+    <= p and m_prev - r0 <= q; it is never empty, as p + q = big >= m_prev.
     The candidates of a whole row are shifted slices of ``prev``, one per r0
     in the window, and the gap term is an arithmetic progression in r.  A
     one-entry window adds the two with ``map``, and a two-entry window
@@ -151,11 +141,9 @@ def fill_level(
     # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring).
     for p in range(big // 2 + 1):
         q = big - p
-        lo, hi = transition_bounds(p, q, m_prev)
-        if lo > hi:
-            raise InternalInconsistency(
-                f"empty transition window at level {level}, state p={p}, q={q}"
-            )
+        # The feasible r0: r0 <= p, and m_prev - r0 <= q.
+        lo = m_prev - q if q < m_prev else 0
+        hi = p if p < m_prev else m_prev
         # gap * (p * t + q * r) with t = rowlen - 1 - r is start + step * r
         start = gap * p * (rowlen - 1)
         step = gap * (q - p)
@@ -227,12 +215,12 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
     """The optimal score, sign * cut, of every first-set size k = 0..n.
 
     Runs ``fill_tables`` and folds the last level into a tuple of n + 1
-    ints: ``scores[k]`` is the best of the states (p, k - p).  Only rows p <=
-    big // 2 are folded, into ``half``, each size by one ``max`` over a
-    strided slice of those rows laid end to end.  Row big - p mirrors row p
-    and covers the sizes n - k, so ``scores[k]`` is the better of ``half[k]``
-    and ``half[n - k]``, and ``scores[k] == scores[n - k]``.  The table is
-    dropped on return.
+    ints: ``scores[k]`` is the best of the states (p, k - p).  Each size k <=
+    n // 2 takes one ``max`` over a strided slice of the rows p <= n // 2,
+    the only rows its states lie in, laid end to end.  Swapping the two sets
+    maps size k to size n - k, so ``scores[n - k] == scores[k]`` and the
+    sizes above n // 2 are read off the mirror.  The table is dropped on
+    return.
 
     The scores of the two most recent (instance, objective) pairs are kept,
     so the questions posed of one instance under both objectives cost two
@@ -243,17 +231,14 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
     n = ci.n
     big = len(top) - 1
     m_last = n - big
-    rows = big // 2 + 1
-    # Rows 0..rows - 1 end to end: state (p, k - p) sits at k + p * m_last,
+    # Rows p <= n // 2 end to end: state (p, k - p) sits at k + p * m_last,
     # so size k's states are every m_last-th entry, p from lo to hi.
-    flat = list(chain.from_iterable(top[:rows]))
-    half = []
-    for k in range(rows + m_last):
+    flat = list(chain.from_iterable(top[: n // 2 + 1]))
+    low = []
+    for k in range(n // 2 + 1):
         lo = k - m_last if k > m_last else 0
-        hi = k if k < rows else rows - 1
-        half.append(max(flat[k + lo * m_last : k + hi * m_last + 1 : m_last]))
-    h = len(half)
-    low = [half[k] if n - k >= h else max(half[k], half[n - k]) for k in range(n // 2 + 1)]
+        hi = k if k < big else big
+        low.append(max(flat[k + lo * m_last : k + hi * m_last + 1 : m_last]))
     return tuple(low + low[(n - 1) // 2 :: -1])
 
 

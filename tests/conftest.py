@@ -38,29 +38,27 @@ def fresh_scores():
 
 
 @pytest.fixture
-def faulty_transition(monkeypatch, fresh_scores):
-    """Break the recurrence: shift the transition window's lower end up by one.
+def broken_recurrence(monkeypatch, fresh_scores):
+    """Break the recurrence: every score each level returns is one higher.
 
-    ``fill_level`` looks ``transition_bounds`` up at call time, so the row
-    fill sees the shifted window.  Only the fill does: the rank DP that
-    checks its score and picks the profile reads no transition window.  The
-    shifted window is empty at level 2, state p = 0, on every instance with
-    l >= 2, so every such solve raises there; an instance with l = 1 makes no
-    transition, and its answer, 0, is right under the shift too.  The score
-    cache is empty when the shift is installed and emptied again at
-    tear-down, so every solve under it fills under it and no score filled
-    under it outlives the test; a test that undoes the shift and solves an
-    instance it already solved clears the cache itself.  Checks that must
-    catch a broken solver run with this fixture; it only reaches the
-    current process.
+    ``fill_tables`` looks ``fill_level`` up at call time, so every level of
+    every fill is raised.  Only the fill is: the rank DP that checks its
+    score and picks the profile shares no code with it.  The fill's optimum
+    then exceeds the rank DP's on every instance with l >= 2, so every such
+    solve raises; an instance with l = 1 makes no transition, and its answer,
+    0, is right under the fault too.  The score cache is empty when the fault
+    is installed and emptied again at tear-down, so every solve under it
+    fills under it and no score filled under it outlives the test; a test
+    that undoes the fault and solves an instance it already solved clears the
+    cache itself.  Checks that must catch a broken solver run with this
+    fixture; it only reaches the current process.
     """
-    exact = solver.transition_bounds
+    exact = solver.fill_level
 
-    def shifted(p, q, m_prev):
-        lo, hi = exact(p, q, m_prev)
-        return lo + 1, hi
+    def raised(ci, level, prev, objective):
+        return [[v + 1 for v in row] for row in exact(ci, level, prev, objective)]
 
-    monkeypatch.setattr(solver, "transition_bounds", shifted)
+    monkeypatch.setattr(solver, "fill_level", raised)
 
 
 def ci_of(*xs: int, scale: int = 0) -> CompressedInstance:

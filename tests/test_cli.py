@@ -345,14 +345,14 @@ class TestVerify:
         assert "failures: 0" in out
         assert "result: PASS" in out
 
-    def test_fault_injection_detected(self, faulty_transition):
+    def test_fault_injection_detected(self, broken_recurrence):
         report = run_verify(4, 10, 1)
         assert not report.ok
         assert report.first_failure is not None
         assert report.first_failure.instance_text
         assert "result: FAIL" in report.render()
 
-    def test_fault_injection_via_cli(self, capsys, faulty_transition):
+    def test_fault_injection_via_cli(self, capsys, broken_recurrence):
         code, out, _ = run_cli(
             capsys, "verify", "--n-max", "4", "--trials", "6", "--seed", "1"
         )

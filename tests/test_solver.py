@@ -35,30 +35,9 @@ from linecut.solver import (
     scan_roots,
     size_scores,
     solve,
-    transition_bounds,
 )
 
 from conftest import all_specs, ci_of, compressed_instances, wide_coords
-
-
-class TestTransitionBounds:
-    def test_examples(self):
-        assert transition_bounds(1, 0, 1) == (1, 1)
-        assert transition_bounds(2, 3, 4) == (1, 2)
-        assert transition_bounds(0, 5, 3) == (0, 0)
-
-    @given(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30))
-    def test_window_matches_enumeration(self, p, q, m_prev):
-        lo, hi = transition_bounds(p, q, m_prev)
-        feasible = [
-            r0
-            for r0 in range(m_prev + 1)
-            if r0 <= p and (m_prev - r0) <= q
-        ]
-        if feasible:
-            assert (lo, hi) == (feasible[0], feasible[-1])
-        else:
-            assert lo > hi
 
 
 class TestFillLevel:
@@ -85,6 +64,14 @@ class TestFillLevel:
         assert lo[1][0] == -2
 
 
+def window(p, q, m_prev):
+    """The feasible r0 of a state with p first-set and q second-set points
+    left of the level's coordinate, listed from their definition: r0 of the
+    previous coordinate's m_prev copies join the first set, so r0 <= p, and
+    the rest the second, so m_prev - r0 <= q."""
+    return [r0 for r0 in range(m_prev + 1) if r0 <= p and m_prev - r0 <= q]
+
+
 def scalar_fill_level(ci, level, prev, objective, largest=False):
     """Reference: the state-by-state scan, storing each state's smallest
     optimizing r0, or its largest where ``largest`` is true.  Values are
@@ -97,13 +84,13 @@ def scalar_fill_level(ci, level, prev, objective, largest=False):
     values, choices = [], []
     for p in range(big + 1):
         q = big - p
-        lo, hi = transition_bounds(p, q, m_prev)
+        lo, *rest = window(p, q, m_prev)
         vrow = [0] * rowlen
         crow = [0] * rowlen
         for r in range(rowlen):
             best = prev[p - lo][lo + r]
             br = lo
-            for r0 in range(lo + 1, hi + 1):
+            for r0 in rest:
                 v = prev[p - r0][r0 + r]
                 if v > best or (largest and v == best):
                     best = v
@@ -186,8 +173,8 @@ def path_windows(ci, k, objective, profile):
     p = k
     for level, r0 in zip(range(ci.l + 1, 1, -1), profile):
         prev = tables[level - 2]
-        lo, hi = transition_bounds(p, mirror.prefix[level - 1] - p, mirror.mult[level - 2])
-        yield lo, [prev[p - r][r + k - p] for r in range(lo, hi + 1)], r0
+        r0s = window(p, mirror.prefix[level - 1] - p, mirror.mult[level - 2])
+        yield r0s[0], [prev[p - r][r + k - p] for r in r0s], r0
         p -= r0
 
 
@@ -266,7 +253,7 @@ class TestRowWiseFill:
     def test_all_tied_wide_window_fills_values(self, objective):
         # State p = 4 of level 3 has the 5-wide window r0 = 0..4.
         ci = ci_of(*[0] * 4, *[1] * 4, 2)
-        assert transition_bounds(4, ci.prefix[2] - 4, ci.mult[1]) == (0, 4)
+        assert window(4, ci.prefix[2] - 4, ci.mult[1]) == list(range(5))
         prev = [[5] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
         assert fill_level(ci, 3, prev, objective) == scalar_fill_level(
             ci, 3, prev, objective
@@ -306,7 +293,7 @@ class TestRowWiseFill:
         # start, so pre alone must reach each offset.
         ci = ci_of(*[0] * (width - 1), *[1] * (width - 1), 2)
         p = width - 1
-        assert transition_bounds(p, ci.prefix[2] - p, ci.mult[1]) == (0, p)
+        assert window(p, ci.prefix[2] - p, ci.mult[1]) == list(range(p + 1))
         for r0 in range(width):
             prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
             # The candidate of state (p, 0) at r0, and its mirror, which keeps
@@ -329,7 +316,7 @@ class TestRowWiseFill:
         ci = ci_of(*[0] * (3 * w), *[1] * (w - 1), 2)
         for p in sorted({w, w + w // 2, 2 * w - 2}):
             assert (p - w + 1) % w
-            assert transition_bounds(p, ci.prefix[2] - p, ci.mult[1]) == (0, w - 1)
+            assert window(p, ci.prefix[2] - p, ci.mult[1]) == list(range(w))
             for r0 in range(w):
                 prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
                 # The candidate of state (p, 0) at r0, and its mirror, which
@@ -390,14 +377,14 @@ class TestRowWiseFill:
         assert builtin_calls == []
 
     def test_shifted_window_is_detected_on_distinct_input(
-        self, faulty_transition, monkeypatch
+        self, broken_recurrence, monkeypatch
     ):
         ci = ci_of(0, 1, 2, 3)
         for spec in (ProblemSpec.max_cut(), ProblemSpec.min_partition(2)):
             with pytest.raises(InternalInconsistency):
                 solve(ci, spec)
         monkeypatch.undo()
-        solver.size_scores.cache_clear()  # solve again from a fill without the shift
+        solver.size_scores.cache_clear()  # solve again from a fill without the fault
         assert solve(ci, ProblemSpec.max_partition(2)).value == 8
 
 
@@ -542,8 +529,16 @@ class TestOneFillPerInstance:
     @pytest.mark.parametrize("kind", list(GenKind), ids=lambda kind: kind.value)
     @pytest.mark.parametrize("objective", list(Objective))
     def test_scores_are_the_diagonal_maxima(self, kind, objective):
-        for n in (1, 2, 3, 8, 13, 31, 48, 60):
-            ci = compress(generate(GenSpec(kind, n, 10**4, derive_seed(11, n))))
+        cis = [
+            compress(generate(GenSpec(kind, n, 10**4, derive_seed(11, n))))
+            for n in (1, 2, 3, 8, 13, 31, 48, 60)
+        ]
+        # The last multiplicity above n / 2, one value (l = 1), and a last
+        # multiplicity of 1.
+        for mults in ((1, 5), (4, 1, 9), (7,), (5, 1)):
+            cis.append(ci_of(*[x for x, m in zip((0, 3, 10), mults) for _ in range(m)]))
+        for ci in cis:
+            n = ci.n
             top = fill_tables(ci, objective)
             diagonals = [[] for _ in range(n + 1)]
             for p, row in enumerate(top):
@@ -676,7 +671,7 @@ class TestSelfChecks:
         with pytest.raises(InternalInconsistency):
             solve(ci_of(0, 1, 2, 3), spec)
 
-    def test_value_the_refill_misses(self):
+    def test_value_the_rank_dp_misses(self):
         # The rank DP's score must be the optimum it is given.
         ci = ci_of(0, 1, 2, 3)
         assert solver.reconstruct(ci, 2, Objective.MAX, 8) == (0, 0, 1, 1)
@@ -738,32 +733,31 @@ class TestImportCost:
 
 
 class TestFaultHook:
-    def test_shifted_window_is_detected(self, faulty_transition, monkeypatch):
-        # Breaking the transition lower bound must not go unnoticed: the
-        # self-checks inside solve raise on the corrupted recurrence.
+    def test_shifted_window_is_detected(self, broken_recurrence, monkeypatch):
+        # Breaking the recurrence must not go unnoticed: the self-checks
+        # inside solve raise on the corrupted fill.
         ci = ci_of(0, 0, 0, 1)
         with pytest.raises(InternalInconsistency):
             solve(ci, ProblemSpec.max_cut())
         monkeypatch.undo()
-        solver.size_scores.cache_clear()  # solve again from a fill without the shift
+        solver.size_scores.cache_clear()  # solve again from a fill without the fault
         assert solve(ci, ProblemSpec.max_cut()).value == 3
 
     def test_narrowed_window_reaches_the_value_check(self, monkeypatch, fresh_scores):
-        # Dropping the top entry of every window wider than one entry leaves
-        # no window empty, so the fill runs to its end with a worse score,
-        # and only the rank DP's value check can catch it.
+        # Every level one lower: the fill runs to its end with a worse
+        # score, below the optimum rather than above it, and only the rank
+        # DP's value check can catch it.
         ci = ci_of(0, 1, 2, 3)
         spec = ProblemSpec.max_partition(2)
-        exact = solver.transition_bounds
+        exact = solver.fill_level
 
-        def narrowed(p, q, m_prev):
-            lo, hi = exact(p, q, m_prev)
-            return (lo, hi - 1) if hi > lo else (lo, hi)
+        def lowered(ci, level, prev, objective):
+            return [[v - 1 for v in row] for row in exact(ci, level, prev, objective)]
 
-        monkeypatch.setattr(solver, "transition_bounds", narrowed)
-        assert size_scores(ci, Objective.MAX)[2] == 6  # the optimum is 8
-        with pytest.raises(InternalInconsistency, match="score 8 misses the optimum 6"):
+        monkeypatch.setattr(solver, "fill_level", lowered)
+        assert size_scores(ci, Objective.MAX)[2] == 5  # the optimum is 8
+        with pytest.raises(InternalInconsistency, match="score 8 misses the optimum 5"):
             solve(ci, spec)
         monkeypatch.undo()
-        solver.size_scores.cache_clear()  # solve again from a fill without the narrowing
+        solver.size_scores.cache_clear()  # solve again from a fill without the fault
         assert solve(ci, spec).value == 8
