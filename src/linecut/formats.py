@@ -109,15 +109,12 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_value(scaled: int, scale_exp: int) -> str:
-    """Exact decimal string for ``scaled * 10**-scale_exp``."""
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled))
-    if scale_exp == 0:
-        return sign + digits
-    digits = digits.rjust(scale_exp + 1, "0")
-    whole, frac = digits[:-scale_exp], digits[-scale_exp:]
-    frac = frac.rstrip("0")
-    return sign + whole + (f".{frac}" if frac else "")
+    """Exact decimal string for ``scaled * 10**-scale_exp``: the point goes
+    ``scale_exp`` digits from the right, and trailing fractional zeros go."""
+    digits = str(abs(scaled)).rjust(scale_exp + 1, "0")
+    point = len(digits) - scale_exp
+    frac = digits[point:].rstrip("0")
+    return ("-" if scaled < 0 else "") + digits[:point] + (f".{frac}" if frac else "")
 
 
 def render_instance(instance: Instance) -> str:

@@ -193,17 +193,12 @@ def cut_value_sweep(ci: CompressedInstance, a: Sequence[int]) -> int:
 
 
 def cut_value_naive(ci: CompressedInstance, a: Sequence[int]) -> int:
-    """Cut value straight from the definition: sum |x_i - x_j| over crossing pairs, O(l^2)."""
+    """Cut value straight from the definition, O(l^2): the sum over all index
+    pairs (i, j) of ``a[i] * (mult[j] - a[j]) * |x_i - x_j|``, each first-set
+    copy of x_i against each second-set copy of x_j."""
     validate_profile(ci, a)
-    acc = 0
-    for i in range(ci.l):
-        if a[i] == 0:
-            continue
-        for j in range(ci.l):
-            other = ci.mult[j] - a[j]
-            if other:
-                acc += a[i] * other * abs(ci.xs[i] - ci.xs[j])
-    return acc
+    xs, mult, idx = ci.xs, ci.mult, range(ci.l)
+    return sum(a[i] * (mult[j] - a[j]) * abs(xs[i] - xs[j]) for i in idx for j in idx)
 
 
 @dataclass(frozen=True)

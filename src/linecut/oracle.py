@@ -140,33 +140,22 @@ def oracle_solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     return Solution(ci=ci, spec=spec, value=value, k_actual=sum(profile), profile=profile)
 
 
-def _prefix_profile(ci: CompressedInstance, j: int) -> tuple[int, ...]:
-    """Profile whose first set is the j smallest points of the sorted multiset."""
-    remaining = j
-    counts = []
-    for m in ci.mult:
-        take = min(m, remaining)
-        counts.append(take)
-        remaining -= take
-    return tuple(counts)
-
-
 def best_threshold(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     """Best cut whose first set is a prefix of the sorted multiset.
 
-    Under an exact size k only the k-prefix is feasible; unconstrained, all
-    n+1 prefixes are scored and ties go to the smallest prefix.  A baseline
-    bound only: thresholds are not optimal in general.
+    The j-prefix, the j smallest points, holds ``min(m_i, max(0, j -
+    prefix[i]))`` copies of the i-th distinct value, since prefix[i] points
+    lie below it.  Under an exact size k only the k-prefix is feasible;
+    unconstrained, all n+1 prefixes are scored and ties go to the smallest
+    prefix.  A baseline bound only: thresholds are not optimal in general.
     """
     spec.validate_for(ci.n)
-    if spec.k is not None:
-        js = (spec.k,)
-    else:
-        js = range(ci.n + 1)
+    js = range(ci.n + 1) if spec.k is None else (spec.k,)
     sign = 1 if spec.objective is Objective.MAX else -1
+    levels = tuple(zip(ci.mult, ci.prefix))
     # max keeps the first of tied profiles, the smallest prefix.
     profile = max(
-        (_prefix_profile(ci, j) for j in js),
+        (tuple(min(m, max(0, j - below)) for m, below in levels) for j in js),
         key=lambda a: sign * cut_value_sweep(ci, a),
     )
     value = cut_value_sweep(ci, profile)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,9 +17,9 @@ from linecut.cli import (
     run_bench,
     run_verify,
 )
-from linecut.errors import LinecutError
+from linecut.errors import InternalInconsistency, LinecutError
 from linecut.formats import parse_instance, render_instance
-from linecut.model import MAX_POINTS, Solution
+from linecut.model import MAX_POINTS, ProblemSpec, Solution
 
 
 @pytest.fixture
@@ -371,6 +372,27 @@ class TestVerify:
         assert report.first_failure.detail.startswith("solver value")
         assert report.first_failure.instance_text
 
+    def test_evaluation_mismatch_is_reported(self, monkeypatch):
+        # Solver and oracle agree, but the pairwise evaluator does not.
+        monkeypatch.setattr(cli, "cut_value_naive", lambda ci, profile: -1)
+        report = run_verify(4, 3, 0)
+        assert not report.ok
+        assert "does not evaluate to" in report.first_failure.detail
+
+    def test_size_mismatch_is_reported(self, monkeypatch):
+        # Solver and oracle return the same max-cut solution for every
+        # problem, so only the size check can tell a partition is wrong.
+        exact = oracle.oracle_solve
+
+        def max_cut_only(ci, spec):
+            return exact(ci, ProblemSpec.max_cut())
+
+        monkeypatch.setattr(cli, "solve", max_cut_only)
+        monkeypatch.setattr(oracle, "oracle_solve", max_cut_only)
+        report = run_verify(4, 3, 0)
+        assert not report.ok
+        assert re.fullmatch(r"profile \(.*\) has size \d+ != k", report.first_failure.detail)
+
     def test_bad_params(self):
         with pytest.raises(LinecutError):
             run_verify(0, 5, 1)
@@ -448,6 +470,17 @@ class TestBench:
         records, slope = run_bench([100, 200, 400], 1, 0)
         assert [r.elapsed_ns for r in records] == [100**3, 200**3, 400**3]
         assert slope == pytest.approx(3.0, abs=1e-9)
+
+    def test_re_evaluation_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(cli, "cut_value_naive", lambda ci, profile: -1)
+        with pytest.raises(InternalInconsistency, match="re-evaluation mismatch at n=50"):
+            run_bench([50, 60], 1, 0)
+
+    def test_distinct_draw_gives_up(self, monkeypatch):
+        # 50 distinct points cannot come from 11 coordinates 0..10.
+        monkeypatch.setattr(cli, "BENCH_SPAN", 10)
+        with pytest.raises(LinecutError, match="could not draw 50 distinct points from span 10"):
+            run_bench([50, 60], 1, 0)
 
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(

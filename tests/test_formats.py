@@ -263,6 +263,9 @@ class TestFormatValue:
         assert format_value(0, 5) == "0"
         assert format_value(-25, 1) == "-2.5"
         assert format_value(10, 0) == "10"
+        assert format_value(0, 0) == "0"
+        assert format_value(-7, 0) == "-7"
+        assert format_value(-120, 0) == "-120"
         assert format_value(123456, 3) == "123.456"
 
     @given(st.integers(-(1 << 50), 1 << 50), st.integers(0, 9))

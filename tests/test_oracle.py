@@ -214,9 +214,16 @@ class TestBestThreshold:
     @given(compressed_instances(max_n=10))
     def test_bounds_oracle(self, ci):
         for spec in all_specs(ci.n):
-            thr = best_threshold(ci, spec).value
+            sol = best_threshold(ci, spec)
             opt = oracle_solve(ci, spec).value
             if spec.objective is Objective.MAX:
-                assert thr <= opt
+                assert sol.value <= opt
             else:
-                assert thr >= opt
+                assert sol.value >= opt
+            # The sorted prefix of its size: full counts, then at most one
+            # partial count, then zeros.
+            a = sol.profile
+            assert sum(a) == sol.k_actual
+            assert spec.k is None or sol.k_actual == spec.k
+            full = next((i for i, (c, m) in enumerate(zip(a, ci.mult)) if c < m), ci.l)
+            assert not any(a[full + 1:])

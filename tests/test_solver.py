@@ -63,6 +63,22 @@ class TestFillLevel:
         assert hi[1][0] == 3
         assert lo[1][0] == -2
 
+    @pytest.mark.parametrize("level", [1, 4], ids=["level-1", "level-l-plus-1"])
+    def test_level_outside_range_refused(self, level):
+        ci = ci_of(0, 1, 2)
+        with pytest.raises(InternalInconsistency, match="level .* outside 2..3"):
+            fill_level(ci, level, base_level(ci.n), Objective.MAX)
+
+    @pytest.mark.parametrize("reshape", [
+        lambda prev: prev + [prev[-1]],
+        lambda prev: [row[:-1] for row in prev],
+    ], ids=["one-row-too-many", "one-column-too-few"])
+    def test_previous_table_of_wrong_shape_refused(self, reshape):
+        ci = ci_of(0, 1, 2)
+        prev = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
+        with pytest.raises(InternalInconsistency, match="wrong shape"):
+            fill_level(ci, 3, reshape(prev), Objective.MAX)
+
 
 def window(p, q, m_prev):
     """The feasible r0 of a state with p first-set and q second-set points
