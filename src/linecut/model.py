@@ -192,6 +192,53 @@ def cut_value_sweep(ci: CompressedInstance, a: Sequence[int]) -> int:
     return acc
 
 
+def exchange_gain(ci: CompressedInstance, a: Sequence[int]) -> int:
+    """The largest cut decrease that moving one first-set point to another
+    level achieves, or 0 if no such move lowers the cut, in one O(l) pass.
+
+    With A the first-set points right of a gap of length g that has R points
+    to its right, the gap's sweep term is phi(A) = g * (k*R + (n - 2R - 2k)*A
+    + 2*A^2) for first-set size k, and a move changes A by one on each gap
+    between its two levels, by phi(A + 1) - phi(A) = g * ((n - 2R - 2k + 4A)
+    + 2) when the point goes right and by phi(A - 1) - phi(A) = g * (-(n - 2R
+    - 2k + 4A) + 2) when it goes left.  With prefix sums up and down of those
+    over the gaps, moving a point from level i to level j lowers the cut by
+    up[i] - up[j] for i < j and by down[j] - down[i] for i > j.  So one scan
+    keeps, over the levels passed so far, the best up[i] of those that can
+    give a point (a[i] > 0) and the best down[j] of those that can take one
+    (a[j] < mult[j]).
+
+    This certifies a size-k minimum: each phi is convex, and the sets of
+    levels right of each gap are nested, so the cut is a laminar convex
+    function of the level counts, M-convex on the layer where they sum to k
+    (Murota, Discrete Convex Analysis, 2003).  An M-convex function has a
+    global minimum wherever no single exchange lowers it, so ``a`` is a
+    minimum-cut profile of its size exactly when this returns 0.
+    """
+    n, k = ci.n, sum(a)
+    right = k  # first-set points right of the gap before the level
+    up = down = 0
+    give = take = None  # the best up[i] of a giver, down[j] of a taker so far
+    gain = 0
+    # Comparisons, not max() calls, which cost about twice as much here.
+    for x_prev, x, big, m, count in zip(ci.xs[:1] + ci.xs, ci.xs, ci.prefix, ci.mult, a):
+        slope = 2 * big - n - 2 * k + 4 * right  # n - 2R - 2k + 4A
+        up += (x - x_prev) * (slope + 2)
+        down += (x - x_prev) * (2 - slope)
+        if count < m:
+            if give is not None and give - up > gain:
+                gain = give - up
+            if take is None or down > take:
+                take = down
+        if count:
+            if take is not None and take - down > gain:
+                gain = take - down
+            if give is None or up > give:
+                give = up
+        right -= count
+    return gain
+
+
 def cut_value_naive(ci: CompressedInstance, a: Sequence[int]) -> int:
     """Cut value straight from the definition, O(l^2): the sum over all index
     pairs (i, j) of ``a[i] * (mult[j] - a[j]) * |x_i - x_j|``, each first-set

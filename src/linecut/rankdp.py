@@ -1,8 +1,10 @@
 """Size-k optimum and its profile from the rank-coefficient recurrence.
 
-This is the second exact algorithm behind ``solve``: it shares no code with
-the level fill in ``solver.py`` and imports nothing from it, so the score it
-finds certifies the fill's.
+This is the only dynamic program behind a minimisation, whose profile
+``model.exchange_gain`` then certifies.  For a maximisation it is the second
+exact algorithm behind ``solve``: it shares no code with the level fill in
+``solver.py`` and imports nothing from it, so the score it finds checks the
+fill's.
 
 Over its members in sorted order, a set X's pairwise distances sum to W(X) =
 sum_r x_(r) * (2r - |X| + 1), and every pair lies inside A, inside B or

@@ -1,52 +1,44 @@
-"""Exact dynamic program for optimal cuts and size-constrained partitions on the line.
+"""Exact dynamic programs for optimal cuts and size-constrained partitions on the line.
 
-The solver walks the distinct coordinates left to right.  A state at level i
-fixes how many points strictly left of the level's coordinate go to the first
-set (p) and how many of the points at or collapsed onto that coordinate do
-(r); the second-set counts q and t follow from the totals.  Collapsing a level
-onto its left neighbour changes the cut value by exactly ``gap * (p*t + q*r)``
-because interval lengths add along the line, so level values can be filled
-bottom-up from a zero base.  Every row is filled at once from shifted slices
-of the previous level: a one-entry window adds one slice to the gap term,
-a two-entry one keeps the better of two slices, and a wider one is read
-from prefix and suffix maxima over blocks of the previous level's rows, a
-sliding-window maximum along its diagonals, by list comprehensions that
-make at most three comparisons per state.  Swapping the two sets maps
-state (p, r) to (q, t) and leaves ``gap * (p*t + q*r)`` unchanged, so every
-level table is centrally symmetric, and only its rows with p <= q are
-computed; each other row is its mirror's, read backwards.
+Every maximisation runs the level fill.  The solver walks the distinct
+coordinates left to right.  A state at level i fixes how many points strictly
+left of the level's coordinate go to the first set (p) and how many of the
+points at or collapsed onto that coordinate do (r); the second-set counts q
+and t follow from the totals.  Collapsing a level onto its left neighbour
+changes the cut value by exactly ``gap * (p*t + q*r)`` because interval
+lengths add along the line, so level values can be filled bottom-up from a
+zero base.  Every row is filled at once from shifted slices of the previous
+level: a one-entry window adds one slice to the gap term, a two-entry one
+keeps the better of two slices, and a wider one is read from prefix and
+suffix maxima over blocks of the previous level's rows, a sliding-window
+maximum along its diagonals, by list comprehensions that make at most three
+comparisons per state.  Swapping the two sets maps state (p, r) to (q, t)
+and leaves ``gap * (p*t + q*r)`` unchanged, so every level table is
+centrally symmetric, and only its rows with p <= q are computed; each other
+row is its mirror's, read backwards.
 
-The table fill keeps values only.  Every transition keeps p + r, the size of
+The fill keeps cut values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
 size k, and one fill answers every size.  ``size_scores`` folds the last
-level's rows p <= n // 2 into the optimal scores of the sizes k <= n // 2,
-one ``max`` per size, and the same symmetry gives the other half, as size
-n - k scores what size k does.  It drops the table and keeps the scores for
-the two most recent (instance, objective) pairs only: two entries of n + 1
-ints.  The 2n + 3 problems that ``verify`` poses on one instance thus cost
-two fills, and choosing the optimal size is a lookup.  A distinct instance,
-as every ``bench`` trial is, still fills.  Every call runs its own rank DP
-and sweeps its own profile, so a score read from the cache is checked again
-on every call.
+level into the maximum cut of each size, keeping the n + 1 ints of the most
+recent instance only: the maximisations ``verify`` poses on one instance
+cost one fill, and choosing the optimal size is a lookup.
 
-The assignment, and a check on the fill's score, come from a second exact
-recurrence that shares no code with the fill.  ``rankdp.solve_size`` writes
-the cut as S - W(A) - W(B), where W sums a set's pairwise distances by rank
-coefficients, and solves one size k by a backward pass over the distinct
-values and a forward pass that takes, from the left end onwards, the
-smallest count that still reaches the optimum: the lexicographically
-smallest optimal profile of size k.  ``reconstruct`` refuses it unless its
-score equals the fill's.  Max-cut runs it on every size whose score reaches
-the optimum and reports the smallest of their profiles, the profile the
-exhaustive oracle returns too.
+The profile, and a check on the fill's optimum, come from a second exact
+recurrence that shares no code with the fill: ``rankdp.solve_size`` returns
+the lexicographically smallest optimal profile of one size k, and
+``reconstruct`` refuses it unless its cut equals the fill's.  Max-cut runs
+it on every size whose cut reaches the optimum and reports the smallest of
+their profiles, the profile the exhaustive oracle returns too.  A
+minimisation runs the rank DP alone, and ``model.exchange_gain`` certifies
+its profile in O(l): a size-k minimum is exactly a profile that no move of
+one first-set point improves.
 
-Total work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
+The fill's work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
 states, a few comparisons each whatever the window's width, so on the order
 of ``n^2 * l``, which is ``n^3`` for all-distinct input; the bench harness
 measures the empirical exponent.  Table values are Python integers, so the
-fill is exact for every coordinate span.  They are scores, sign * cut with
-sign -1 for a min-partition: every step maximises, and only ``solve`` turns
-the optimal score back into a cut value.
+fill is exact for every coordinate span.
 """
 
 from __future__ import annotations
@@ -62,6 +54,7 @@ from .model import (
     ProblemSpec,
     Solution,
     cut_value_sweep,
+    exchange_gain,
 )
 from .rankdp import solve_size
 
@@ -75,13 +68,12 @@ def fill_level(
     ci: CompressedInstance,
     level: int,
     prev: list[list[int]],
-    objective: Objective,
 ) -> list[list[int]]:
     """Fill one level (>= 2) from the previous level's values.
 
-    Returns ``values`` where ``values[p][r]`` is the optimal score, sign *
-    cut, of the level's subproblem.  Exact for arbitrarily large
-    coordinates (Python ints).
+    Returns ``values`` where ``values[p][r]`` is the maximum cut of the
+    level's subproblem.  Exact for arbitrarily large coordinates (Python
+    ints).
 
     State (p, r) takes r0 of the previous coordinate's m_prev copies into the
     first set and the rest into the second, so its window is the r0 with r0
@@ -126,8 +118,6 @@ def fill_level(
         raise InternalInconsistency("previous level table has wrong shape")
     m_prev = ci.mult[level - 2]
     gap = ci.xs[level - 1] - ci.xs[level - 2]
-    if objective is Objective.MIN:
-        gap = -gap  # the score is -cut
     rowlen = ci.n - big + 1
 
     values = [None] * (big + 1)
@@ -198,21 +188,21 @@ def fill_level(
     return values
 
 
-def fill_tables(ci: CompressedInstance, objective: Objective) -> list[list[int]]:
-    """Fill every level bottom-up and return the last level's score table.
+def fill_tables(ci: CompressedInstance) -> list[list[int]]:
+    """Fill every level bottom-up and return the last level's table.
 
-    ``top[p][r]`` is the optimal score, sign * cut, of state (p, r) at the
-    last level; earlier levels are rolled over.
+    ``top[p][r]`` is the maximum cut of state (p, r) at the last level;
+    earlier levels are rolled over.
     """
     top = base_level(ci.n)
     for level in range(2, ci.l + 1):
-        top = fill_level(ci, level, top, objective)
+        top = fill_level(ci, level, top)
     return top
 
 
-@functools.lru_cache(maxsize=2)
-def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]:
-    """The optimal score, sign * cut, of every first-set size k = 0..n.
+@functools.lru_cache(maxsize=1)
+def size_scores(ci: CompressedInstance) -> tuple[int, ...]:
+    """The maximum cut of every first-set size k = 0..n.
 
     Runs ``fill_tables`` and folds the last level into a tuple of n + 1
     ints: ``scores[k]`` is the best of the states (p, k - p).  Each size k <=
@@ -222,12 +212,12 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
     sizes above n // 2 are read off the mirror.  The table is dropped on
     return.
 
-    The scores of the two most recent (instance, objective) pairs are kept,
-    so the questions posed of one instance under both objectives cost two
-    fills.  Each caller still checks the score it reads against its own run
-    of the rank DP, and sweeps the profile that run returns.
+    The scores of the most recent instance are kept, so the maximisations
+    posed of one instance cost one fill.  Each caller still checks the score
+    it reads against its own run of the rank DP, and sweeps the profile that
+    run returns.
     """
-    top = fill_tables(ci, objective)
+    top = fill_tables(ci)
     n = ci.n
     big = len(top) - 1
     m_last = n - big
@@ -243,12 +233,11 @@ def size_scores(ci: CompressedInstance, objective: Objective) -> tuple[int, ...]
 
 
 def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], int]:
-    """Return ``(sizes, score)``: the optimal score and the sizes reaching it.
+    """Return ``(sizes, cut)``: the maximum cut and the sizes reaching it.
 
-    ``scores[k]`` is the optimal score, sign * cut, of first-set size k, as
-    ``size_scores`` returns it.  Exact size k: ``scores[k]`` and the sizes
-    ``[k]``.  Unconstrained: the best score and every size reaching it,
-    ascending.
+    ``scores[k]`` is the maximum cut of first-set size k, as ``size_scores``
+    returns it.  Exact size k: ``scores[k]`` and the sizes ``[k]``.
+    Unconstrained: the best cut and every size reaching it, ascending.
     """
     spec.validate_for(len(scores) - 1)
     k = spec.k
@@ -258,17 +247,15 @@ def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], i
     return [k for k, v in enumerate(scores) if v == score], score
 
 
-def reconstruct(
-    ci: CompressedInstance, k: int, objective: Objective, value: int
-) -> tuple[int, ...]:
-    """Lexicographically smallest optimal profile of first-set size k.
+def reconstruct(ci: CompressedInstance, k: int, value: int) -> tuple[int, ...]:
+    """Lexicographically smallest maximum-cut profile of first-set size k.
 
-    ``value`` is the fill's optimal score of size k, sign * cut.  The profile
-    and a score of its own come from the rank-coefficient DP,
-    ``rankdp.solve_size``, which shares no code with the fill; unless that
-    score equals ``value``, this raises ``InternalInconsistency``.
+    ``value`` is the fill's maximum cut of size k.  The profile and a cut of
+    its own come from the rank-coefficient DP, ``rankdp.solve_size``, which
+    shares no code with the fill; unless that cut equals ``value``, this
+    raises ``InternalInconsistency``.
     """
-    score, profile = solve_size(ci, k, objective)
+    score, profile = solve_size(ci, k, Objective.MAX)
     if score != value:
         raise InternalInconsistency(
             f"the rank DP's size-{k} score {score} misses the optimum {value}"
@@ -280,12 +267,20 @@ def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     """Solve the cut problem exactly.
 
     The profile is the lexicographically smallest optimal one; for max-cut,
-    the smallest over every optimal first-set size.
+    the smallest over every optimal first-set size.  A minimisation is the
+    rank DP's, and its profile must pass ``exchange_gain``.
     """
     spec.validate_for(ci.n)
-    sizes, score = scan_roots(size_scores(ci, spec.objective), spec)
-    profile = min(reconstruct(ci, k, spec.objective, score) for k in sizes)
-    value = score if spec.objective is Objective.MAX else -score
+    if spec.objective is Objective.MIN:
+        score, profile = solve_size(ci, spec.k, Objective.MIN)
+        value = -score
+        if exchange_gain(ci, profile):
+            raise InternalInconsistency(
+                f"one move lowers the cut of the rank DP's size-{spec.k} minimum"
+            )
+    else:
+        sizes, value = scan_roots(size_scores(ci), spec)
+        profile = min(reconstruct(ci, k, value) for k in sizes)
     if cut_value_sweep(ci, profile) != value:
         raise InternalInconsistency("reconstructed profile does not evaluate to the optimum")
     return Solution(

@@ -26,11 +26,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def fresh_scores():
     """Start and end the test with an empty ``solver.size_scores`` cache.
 
-    ``solve`` answers every question on an instance from the scores of one
-    fill per objective, kept for the two most recent (instance, objective)
-    pairs.  A test that patches what the fill reads must neither be answered
-    from scores filled before its patch nor leave scores filled under it to
-    the tests after it.
+    ``solve`` answers every maximisation on an instance from the scores of
+    one fill, kept for the most recent instance.  A test that patches what
+    the fill reads must neither be answered from scores filled before its
+    patch nor leave scores filled under it to the tests after it.
     """
     solver.size_scores.cache_clear()
     yield
@@ -39,24 +38,25 @@ def fresh_scores():
 
 @pytest.fixture
 def broken_recurrence(monkeypatch, fresh_scores):
-    """Break the recurrence: every score each level returns is one higher.
+    """Break the recurrence: every cut each level returns is one higher.
 
     ``fill_tables`` looks ``fill_level`` up at call time, so every level of
     every fill is raised.  Only the fill is: the rank DP that checks its
-    score and picks the profile shares no code with it.  The fill's optimum
-    then exceeds the rank DP's on every instance with l >= 2, so every such
-    solve raises; an instance with l = 1 makes no transition, and its answer,
-    0, is right under the fault too.  The score cache is empty when the fault
-    is installed and emptied again at tear-down, so every solve under it
-    fills under it and no score filled under it outlives the test; a test
-    that undoes the fault and solves an instance it already solved clears the
+    optimum and picks the profile shares no code with it, and a minimisation
+    reads no fill at all.  The fill's optimum then exceeds the rank DP's on
+    every instance with l >= 2, so every maximisation there raises; an
+    instance with l = 1 makes no transition, and its answer, 0, is right
+    under the fault too.  The score cache is empty when the fault is
+    installed and emptied again at tear-down, so every solve under it fills
+    under it and no score filled under it outlives the test; a test that
+    undoes the fault and solves an instance it already solved clears the
     cache itself.  Checks that must catch a broken solver run with this
     fixture; it only reaches the current process.
     """
     exact = solver.fill_level
 
-    def raised(ci, level, prev, objective):
-        return [[v + 1 for v in row] for row in exact(ci, level, prev, objective)]
+    def raised(ci, level, prev):
+        return [[v + 1 for v in row] for row in exact(ci, level, prev)]
 
     monkeypatch.setattr(solver, "fill_level", raised)
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from linecut.errors import (
@@ -22,10 +24,18 @@ from linecut.model import (
     compress,
     cut_value_naive,
     cut_value_sweep,
+    exchange_gain,
     validate_profile,
 )
+from linecut.oracle import oracle_solve
 
-from conftest import ci_of, compressed_with_profile, instances, wide_coords
+from conftest import (
+    ci_of,
+    compressed_instances,
+    compressed_with_profile,
+    instances,
+    wide_coords,
+)
 
 
 class TestInstance:
@@ -212,3 +222,59 @@ class TestEvaluators:
         ci, _ = pair
         assert cut_value_sweep(ci, (0,) * ci.l) == 0
         assert cut_value_sweep(ci, ci.mult) == 0
+
+
+def best_single_move(ci, a):
+    """The largest cut decrease over every move of one first-set point from
+    one level to another, each scored by ``cut_value_naive``; 0 if none
+    lowers the cut."""
+    cut = cut_value_naive(ci, a)
+    best = 0
+    for i, j in itertools.permutations(range(ci.l), 2):
+        if a[i] > 0 and a[j] < ci.mult[j]:
+            moved = list(a)
+            moved[i] -= 1
+            moved[j] += 1
+            best = max(best, cut - cut_value_naive(ci, moved))
+    return best
+
+
+class TestExchangeGain:
+    def test_moves_in_each_direction(self):
+        ci = ci_of(0, 1, 2, 3)
+        # Every level left of a first-set point is full, so only moves to the
+        # right exist, and the best one, 1 -> 3, lowers the cut from 8 to 6.
+        assert exchange_gain(ci, (1, 1, 0, 0)) == 2
+        # The mirror image: only moves to the left exist.
+        assert exchange_gain(ci, (0, 0, 1, 1)) == 2
+        # Minima of sizes 2 and 0.
+        assert exchange_gain(ci, (0, 1, 0, 1)) == 0
+        assert exchange_gain(ci, (0, 0, 0, 0)) == 0
+        # A maximum: one move of a copy, 0 -> 1, lowers the cut from 9 to 5.
+        assert exchange_gain(ci_of(0, 0, 0, 1, 1, 1), (3, 0)) == 4
+
+    @given(
+        st.one_of(
+            compressed_with_profile(max_n=14, coord=wide_coords),
+            compressed_with_profile(max_n=24, coord=st.integers(0, 3)),
+        )
+    )
+    @example((ci_of(*range(8)), (1, 0, 1, 1, 0, 0, 1, 0)))
+    @example((ci_of(0, 0, 0, 1, 1, 5, 9, 9, 9, 9), (0, 2, 1, 3)))
+    def test_matches_single_move_search(self, pair):
+        ci, a = pair
+        assert exchange_gain(ci, a) == best_single_move(ci, a)
+
+    @given(compressed_instances(max_n=12))
+    @example(ci_of(*range(12)))
+    @example(ci_of(0, 0, 0, 1, 1, 2, 2, 2, 2, 7, 7, 7))
+    def test_zero_exactly_on_minimum_profiles(self, ci):
+        # Every profile of every size k: it passes exactly when its cut is the
+        # oracle's minimum of size k.
+        minima = [
+            oracle_solve(ci, ProblemSpec.min_partition(k)).value
+            for k in range(ci.n + 1)
+        ]
+        for a in itertools.product(*[range(m + 1) for m in ci.mult]):
+            optimal = cut_value_sweep(ci, a) == minima[sum(a)]
+            assert (exchange_gain(ci, a) == 0) == optimal

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -26,6 +27,7 @@ from linecut.model import (
     compress,
     cut_value_naive,
     cut_value_sweep,
+    exchange_gain,
 )
 from linecut.oracle import oracle_solve
 from linecut.solver import (
@@ -45,29 +47,24 @@ class TestFillLevel:
         # Instance {0,1,2}: collapsing to two locations 0 and 1, with two
         # extra copies sitting at 1.
         ci = ci_of(0, 1, 2)
-        values = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
+        values = fill_level(ci, 2, base_level(ci.n))
         assert values[1][0] == 2
         assert values[0][2] == 2
 
     def test_base_level_zero(self):
         assert base_level(3) == [[0, 0, 0, 0]]
 
-    def test_min_objective_differs(self):
+    def test_level3_values(self):
         # Level 2 transitions are forced; the first real choice is at level 3.
         ci = ci_of(0, 1, 2)
-        hi = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MAX),
-                        Objective.MAX)
-        lo = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), Objective.MIN),
-                        Objective.MIN)
-        # Tables hold scores, sign * cut: a min-partition's cut 2 is -2.
-        assert hi[1][0] == 3
-        assert lo[1][0] == -2
+        values = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n)))
+        assert values[1][0] == 3
 
     @pytest.mark.parametrize("level", [1, 4], ids=["level-1", "level-l-plus-1"])
     def test_level_outside_range_refused(self, level):
         ci = ci_of(0, 1, 2)
         with pytest.raises(InternalInconsistency, match="level .* outside 2..3"):
-            fill_level(ci, level, base_level(ci.n), Objective.MAX)
+            fill_level(ci, level, base_level(ci.n))
 
     @pytest.mark.parametrize("reshape", [
         lambda prev: prev + [prev[-1]],
@@ -75,9 +72,9 @@ class TestFillLevel:
     ], ids=["one-row-too-many", "one-column-too-few"])
     def test_previous_table_of_wrong_shape_refused(self, reshape):
         ci = ci_of(0, 1, 2)
-        prev = fill_level(ci, 2, base_level(ci.n), Objective.MAX)
+        prev = fill_level(ci, 2, base_level(ci.n))
         with pytest.raises(InternalInconsistency, match="wrong shape"):
-            fill_level(ci, 3, reshape(prev), Objective.MAX)
+            fill_level(ci, 3, reshape(prev))
 
 
 def window(p, q, m_prev):
@@ -91,7 +88,9 @@ def window(p, q, m_prev):
 def scalar_fill_level(ci, level, prev, objective, largest=False):
     """Reference: the state-by-state scan, storing each state's smallest
     optimizing r0, or its largest where ``largest`` is true.  Values are
-    scores, sign * cut, as in ``fill_level``: the largest is the best."""
+    scores, sign * cut, so the largest is the best under either objective:
+    ``fill_level``'s cuts under MAX, and under MIN what ``rankdp.solve_size``
+    must reach."""
     big = ci.prefix[level - 1]
     m_prev = ci.mult[level - 2]
     sign = 1 if objective is Objective.MAX else -1
@@ -162,21 +161,37 @@ def scalar_backtrack(ci, objective, largest=False):
     return answers
 
 
+def signed_gaps(ci, objective):
+    """``ci`` as the fill reads it, every gap negated under MIN.
+
+    The fill maximises a sum of gap terms, so on negated gaps its tables hold
+    the scores, -cut, that the scalar reference keeps for MIN.  This keeps
+    the MIN case of the fill tests parametrised by objective: they check the
+    same windows under falling gap terms.  The fill reads ``n``, ``l``,
+    ``xs``, ``mult`` and ``prefix`` only, and decreasing ``xs`` would fail
+    ``CompressedInstance``'s own check.
+    """
+    if objective is Objective.MAX:
+        return ci
+    xs = tuple([-x for x in ci.xs])
+    return SimpleNamespace(n=ci.n, l=ci.l, xs=xs, mult=ci.mult, prefix=ci.prefix)
+
+
 def assert_matches_scalar_scan(ci):
     """The row fill against the scalar scan, and at every size the rank DP's
-    score against ``size_scores`` and its profile against the scalar
-    backtrack's."""
+    score and profile against the scalar backtrack's, and ``size_scores``
+    against its maximum cuts."""
+    prev = base_level(ci.n)
+    for level in range(2, ci.l + 1):
+        values = fill_level(ci, level, prev)
+        assert values == scalar_fill_level(ci, level, prev, Objective.MAX)[0]
+        prev = values
     for objective in Objective:
-        prev = base_level(ci.n)
-        for level in range(2, ci.l + 1):
-            want_values, _ = scalar_fill_level(ci, level, prev, objective)
-            values = fill_level(ci, level, prev, objective)
-            assert values == want_values
-            prev = values
-        scores = size_scores(ci, objective)
-        for k, (score, profile) in scalar_backtrack(ci, objective).items():
-            assert scores[k] == score
-            assert rankdp.solve_size(ci, k, objective) == (score, profile)
+        answers = scalar_backtrack(ci, objective)
+        for k, answer in answers.items():
+            assert rankdp.solve_size(ci, k, objective) == answer
+        if objective is Objective.MAX:
+            assert size_scores(ci) == tuple(score for score, _ in answers.values())
 
 
 def path_windows(ci, k, objective, profile):
@@ -241,29 +256,25 @@ class TestRowWiseFill:
     @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
     def test_diagonals_match_row_fill(self, ci):
         # Diagonal k of the top table holds the states (p, k - p), and its
-        # best is the rank DP's optimum of size k.
-        for objective in Objective:
-            top = fill_tables(ci, objective)
-            big = len(top) - 1
-            for k in range(ci.n + 1):
-                feasible = range(max(0, k - (ci.n - big)), min(big, k) + 1)
-                best = max(top[p][k - p] for p in feasible)
-                assert rankdp.solve_size(ci, k, objective)[0] == best
+        # best is the rank DP's maximum of size k.
+        top = fill_tables(ci)
+        big = len(top) - 1
+        for k in range(ci.n + 1):
+            feasible = range(max(0, k - (ci.n - big)), min(big, k) + 1)
+            best = max(top[p][k - p] for p in feasible)
+            assert rankdp.solve_size(ci, k, Objective.MAX)[0] == best
 
     @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
     def test_level_tables_are_centrally_symmetric(self, ci):
         # Swapping the sets maps state (p, r) to (big - p, rowlen - 1 - r).
-        for objective in Objective:
-            table = scalar_table = base_level(ci.n)
-            for level in range(2, ci.l + 1):
-                table = fill_level(ci, level, table, objective)
-                scalar_table, _ = scalar_fill_level(ci, level, scalar_table, objective)
-                for values in (table, scalar_table):
-                    big = len(values) - 1
-                    assert all(
-                        values[p] == values[big - p][::-1] for p in range(big + 1)
-                    )
-            assert table == fill_tables(ci, objective)
+        table = scalar_table = base_level(ci.n)
+        for level in range(2, ci.l + 1):
+            table = fill_level(ci, level, table)
+            scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
+            for values in (table, scalar_table):
+                big = len(values) - 1
+                assert all(values[p] == values[big - p][::-1] for p in range(big + 1))
+        assert table == fill_tables(ci)
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_all_tied_wide_window_fills_values(self, objective):
@@ -271,7 +282,7 @@ class TestRowWiseFill:
         ci = ci_of(*[0] * 4, *[1] * 4, 2)
         assert window(4, ci.prefix[2] - 4, ci.mult[1]) == list(range(5))
         prev = [[5] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
-        assert fill_level(ci, 3, prev, objective) == scalar_fill_level(
+        assert fill_level(signed_gaps(ci, objective), 3, prev) == scalar_fill_level(
             ci, 3, prev, objective
         )[0]
 
@@ -281,14 +292,14 @@ class TestRowWiseFill:
         # distinct candidate is prev[20][280], reached through r0 = 280.
         # Its mirror prev[280][21] keeps prev centrally symmetric, as
         # fill_level requires, and lies outside that state's window.  prev
-        # holds scores, sign * cut, so the best candidate is the largest
-        # under either objective.
+        # holds scores, so the best candidate is the largest under either
+        # objective.
         ci = ci_of(*[0] * 300, *[1] * 300, 2)
         prev = [[0] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
         prev[20][280] = prev[280][21] = 1
         want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
         assert want_r0[300][0] == 280
-        assert fill_level(ci, 3, prev, objective) == want_values
+        assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values
 
     @pytest.mark.parametrize(
         "spec",
@@ -319,7 +330,7 @@ class TestRowWiseFill:
             before = copy.deepcopy(prev)
             want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
             assert want_r0[p][0] == r0
-            assert fill_level(ci, 3, prev, objective) == want_values
+            assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values
             assert prev == before
 
     @pytest.mark.parametrize("objective", list(Objective))
@@ -342,7 +353,7 @@ class TestRowWiseFill:
                 before = copy.deepcopy(prev)
                 want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
                 assert want_r0[p][0] == r0
-                assert fill_level(ci, 3, prev, objective) == want_values
+                assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values
                 assert prev == before
 
     # Medium n on few values, past the hypothesis strategies' reach: windows
@@ -362,13 +373,13 @@ class TestRowWiseFill:
         xs = sorted(rng.sample(range(-(10**6), 10**6), len(mults)))
         ci = ci_of(*[x for x, m in zip(xs, mults) for _ in range(m)])
         assert ci.mult == tuple(mults)
+        table = base_level(n)
+        for level in range(2, ci.l + 1):
+            want_values, _ = scalar_fill_level(ci, level, table, Objective.MAX)
+            table = fill_level(ci, level, table)
+            assert table == want_values
         for objective in Objective:
             reference = scalar_backtrack(ci, objective)
-            table = base_level(n)
-            for level in range(2, ci.l + 1):
-                want_values, _ = scalar_fill_level(ci, level, table, objective)
-                table = fill_level(ci, level, table, objective)
-                assert table == want_values
             for k in (1, n // 3, n // 2, n - 2):
                 assert rankdp.solve_size(ci, k, objective) == reference[k]
 
@@ -389,16 +400,18 @@ class TestRowWiseFill:
             # Windows across two blocks, at levels 4 and 6.
             tuple(x for x, m in enumerate((2, 9, 3, 20, 5, 1)) for _ in range(m)),
         ):
-            fill_tables(ci_of(*[sign * x for x in xs]), objective)
+            fill_tables(signed_gaps(ci_of(*[sign * x for x in xs]), objective))
         assert builtin_calls == []
 
-    def test_shifted_window_is_detected_on_distinct_input(
+    def test_raised_levels_are_detected_on_distinct_input(
         self, broken_recurrence, monkeypatch
     ):
         ci = ci_of(0, 1, 2, 3)
-        for spec in (ProblemSpec.max_cut(), ProblemSpec.min_partition(2)):
+        for spec in (ProblemSpec.max_cut(), ProblemSpec.max_partition(2)):
             with pytest.raises(InternalInconsistency):
                 solve(ci, spec)
+        # A minimisation reads no fill, so the fault leaves it right.
+        assert solve(ci, ProblemSpec.min_partition(2)).value == 6
         monkeypatch.undo()
         solver.size_scores.cache_clear()  # solve again from a fill without the fault
         assert solve(ci, ProblemSpec.max_partition(2)).value == 8
@@ -428,8 +441,7 @@ class TestDiagonalRefill:
     )
     def test_ties_pick_the_smallest_r0(self, xs, k, width, objective, reflected):
         ci = ci_of(*[-x if reflected else x for x in xs])
-        score = scan_roots(size_scores(ci, objective), ProblemSpec(objective, k))[1]
-        profile = solver.reconstruct(ci, k, objective, score)
+        profile = rankdp.solve_size(ci, k, objective)[1]
         known = 0
         for lo, candidates, r0 in path_windows(ci, k, objective, profile):
             best = max(candidates)
@@ -452,10 +464,8 @@ class TestDiagonalRefill:
         sign = -1 if reflected else 1
         for xs in (range(40), (-7, 3, 4, 10, 11, 25, 60), (0, 1 << 40, -(1 << 40))):
             ci = ci_of(*[sign * x for x in xs])
-            scores = size_scores(ci, objective)
-            del builtin_calls[:]  # the fold's, not the rank DP's
             for k in range(ci.n + 1):
-                solver.reconstruct(ci, k, objective, scores[k])
+                rankdp.solve_size(ci, k, objective)
         assert builtin_calls == []
         # Two copies of each value: size 3 has three-entry windows, i' in
         # i..i + 2, from the very first value on.
@@ -490,39 +500,40 @@ class TestDiagonalRefill:
 
 class TestScanRoots:
     def test_unconstrained(self):
-        scores = size_scores(ci_of(0, 1, 2), Objective.MAX)
+        scores = size_scores(ci_of(0, 1, 2))
         assert scores == (0, 3, 3, 0)
         sizes, value = scan_roots(scores, ProblemSpec.max_cut())
         assert value == 3
         assert sizes == [1, 2]
 
     def test_exact_k(self):
-        ci = ci_of(0, 1, 2, 3)
-        _, v_max = scan_roots(size_scores(ci, Objective.MAX), ProblemSpec.max_partition(2))
-        assert v_max == 8
-        _, v_min = scan_roots(size_scores(ci, Objective.MIN), ProblemSpec.min_partition(2))
-        assert v_min == -6  # the score, -cut, of the optimum
+        scores = size_scores(ci_of(0, 1, 2, 3))
+        assert scan_roots(scores, ProblemSpec.max_partition(2)) == ([2], 8)
+        assert scan_roots(scores, ProblemSpec.max_partition(0)) == ([0], 0)
 
     def test_bad_k(self):
-        scores = size_scores(ci_of(0, 1), Objective.MAX)
+        scores = size_scores(ci_of(0, 1))
         with pytest.raises(InvalidK):
             scan_roots(scores, ProblemSpec.max_partition(5))
 
 
 class TestOneFillPerInstance:
-    """``size_scores`` fills once per (instance, objective) for every size."""
+    """``size_scores`` fills once per instance for every size."""
 
-    def test_all_specs_fill_twice(self):
+    def test_all_specs_fill_once(self):
         ci, other = ci_of(0, 0, 1, 3, 3, 3, 7, 12), ci_of(4, 4, 9)
         size_scores.cache_clear()
         for spec in all_specs(ci.n):
             solve(ci, spec)
-        assert size_scores.cache_info().misses == 2
-        # An equal instance built anew is the same key.
-        solve(ci_of(12, 7, 3, 3, 3, 1, 0, 0), ProblemSpec.min_partition(4))
+        assert size_scores.cache_info().misses == 1
+        # An equal instance built anew is the same key, and a minimisation
+        # reads no scores.
+        solve(ci_of(12, 7, 3, 3, 3, 1, 0, 0), ProblemSpec.max_partition(4))
+        solve(other, ProblemSpec.min_partition(1))
+        assert size_scores.cache_info().misses == 1
         solve(other, ProblemSpec.max_cut())
         info = size_scores.cache_info()
-        assert (info.misses, info.currsize) == (3, 2)
+        assert (info.misses, info.currsize) == (2, 1)
 
     @given(st.one_of(compressed_instances(max_n=10), duplicate_heavy_cis))
     def test_answers_do_not_depend_on_call_order(self, ci):
@@ -555,14 +566,19 @@ class TestOneFillPerInstance:
             cis.append(ci_of(*[x for x, m in zip((0, 3, 10), mults) for _ in range(m)]))
         for ci in cis:
             n = ci.n
-            top = fill_tables(ci, objective)
+            top = fill_tables(signed_gaps(ci, objective))
             diagonals = [[] for _ in range(n + 1)]
             for p, row in enumerate(top):
                 for r, v in enumerate(row):
                     diagonals[p + r].append(v)
-            scores = size_scores(ci, objective)
+            # The fold, uncached: MIN's stand-in is no cache key.
+            scores = size_scores.__wrapped__(signed_gaps(ci, objective))
             assert scores == tuple(max(d) for d in diagonals)
             assert scores == scores[::-1]  # scores[k] == scores[n - k]
+            # The rank DP, the only MIN algorithm in solve, agrees at every size.
+            assert scores == tuple(
+                rankdp.solve_size(ci, k, objective)[0] for k in range(n + 1)
+            )
 
 
 class TestSolve:
@@ -650,8 +666,8 @@ class TestSolve:
         # optimum: the lexicographically largest optimal profile.
         monkeypatch.setattr(
             solver,
-            "reconstruct",
-            lambda ci, k, objective, value: scalar_backtrack(ci, objective, True)[k][1],
+            "solve_size",
+            lambda ci, k, objective: scalar_backtrack(ci, objective, True)[k],
         )
         assert solve(ci, ProblemSpec.min_partition(2)).profile == (1, 0, 1, 0)
         report = run_verify(6, 20, 0)
@@ -665,14 +681,15 @@ class TestSolve:
 
 
 class TestSelfChecks:
-    """``solve`` refuses an optimum that the rank DP, a second exact
-    recurrence sharing no code with the fill, does not reach, and a profile
-    that does not sweep to the optimum."""
+    """``solve`` refuses a maximum that the rank DP, a second exact
+    recurrence sharing no code with the fill, does not reach, a minimum that
+    one move of a point improves, and a profile that does not sweep to the
+    optimum."""
 
     @pytest.mark.parametrize(
         "spec",
-        [ProblemSpec.max_cut(), ProblemSpec.max_partition(2), ProblemSpec.min_partition(2)],
-        ids=["max-cut", "max-partition", "min-partition"],
+        [ProblemSpec.max_cut(), ProblemSpec.max_partition(2)],
+        ids=["max-cut", "max-partition"],
     )
     def test_row_fill_off_by_one(self, monkeypatch, fresh_scores, spec):
         # Every top-table entry one larger: the rank DP's score misses it.
@@ -680,20 +697,36 @@ class TestSelfChecks:
         # an earlier test left for this instance.
         exact = solver.fill_tables
 
-        def inflated(ci, objective):
-            return [[v + 1 for v in row] for row in exact(ci, objective)]
+        def inflated(ci):
+            return [[v + 1 for v in row] for row in exact(ci)]
 
         monkeypatch.setattr(solver, "fill_tables", inflated)
         with pytest.raises(InternalInconsistency):
             solve(ci_of(0, 1, 2, 3), spec)
 
+    def test_improvable_min_profile_fails_the_certificate(self, monkeypatch):
+        # A rank DP fault on a minimisation: it returns a size-2 profile that
+        # is no minimum, with that profile's true score, so the sweep agrees
+        # and only the certificate can refuse it.
+        ci = ci_of(0, 1, 2, 3)
+        spec = ProblemSpec.min_partition(2)
+        assert solve(ci, spec).value == 6
+        worse = (1, 1, 0, 0)
+        assert cut_value_sweep(ci, worse) == 8
+        assert exchange_gain(ci, worse) == 2
+        monkeypatch.setattr(
+            solver, "solve_size", lambda ci, k, objective: (-8, worse)
+        )
+        with pytest.raises(InternalInconsistency, match="one move lowers the cut"):
+            solve(ci, spec)
+
     def test_value_the_rank_dp_misses(self):
         # The rank DP's score must be the optimum it is given.
         ci = ci_of(0, 1, 2, 3)
-        assert solver.reconstruct(ci, 2, Objective.MAX, 8) == (0, 0, 1, 1)
+        assert solver.reconstruct(ci, 2, 8) == (0, 0, 1, 1)
         for value in (7, 9):
             with pytest.raises(InternalInconsistency, match="misses the optimum"):
-                solver.reconstruct(ci, 2, Objective.MAX, value)
+                solver.reconstruct(ci, 2, value)
 
     def test_profile_failing_the_sweep(self, monkeypatch):
         monkeypatch.setattr(solver, "cut_value_sweep", lambda ci, profile: -1)
@@ -749,7 +782,7 @@ class TestImportCost:
 
 
 class TestFaultHook:
-    def test_shifted_window_is_detected(self, broken_recurrence, monkeypatch):
+    def test_raised_levels_are_detected(self, broken_recurrence, monkeypatch):
         # Breaking the recurrence must not go unnoticed: the self-checks
         # inside solve raise on the corrupted fill.
         ci = ci_of(0, 0, 0, 1)
@@ -759,7 +792,7 @@ class TestFaultHook:
         solver.size_scores.cache_clear()  # solve again from a fill without the fault
         assert solve(ci, ProblemSpec.max_cut()).value == 3
 
-    def test_narrowed_window_reaches_the_value_check(self, monkeypatch, fresh_scores):
+    def test_lowered_levels_reach_the_value_check(self, monkeypatch, fresh_scores):
         # Every level one lower: the fill runs to its end with a worse
         # score, below the optimum rather than above it, and only the rank
         # DP's value check can catch it.
@@ -767,11 +800,11 @@ class TestFaultHook:
         spec = ProblemSpec.max_partition(2)
         exact = solver.fill_level
 
-        def lowered(ci, level, prev, objective):
-            return [[v - 1 for v in row] for row in exact(ci, level, prev, objective)]
+        def lowered(ci, level, prev):
+            return [[v - 1 for v in row] for row in exact(ci, level, prev)]
 
         monkeypatch.setattr(solver, "fill_level", lowered)
-        assert size_scores(ci, Objective.MAX)[2] == 5  # the optimum is 8
+        assert size_scores(ci)[2] == 5  # the optimum is 8
         with pytest.raises(InternalInconsistency, match="score 8 misses the optimum 5"):
             solve(ci, spec)
         monkeypatch.undo()
