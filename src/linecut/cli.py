@@ -4,7 +4,7 @@ Subcommands: ``solve`` (exact optimum), ``oracle`` (exhaustive cross-check),
 ``verify`` (randomised solver-vs-oracle sweep), ``gen`` (seeded instances),
 ``bench`` (empirical complexity fit).  ``solve`` and ``oracle`` share one
 handler and differ only in the solver called.  Exit codes: 0 success,
-1 solver, validation or input-file error, 2 usage error.
+1 solver, validation or input-file error or out of memory, 2 usage error.
 
 ``verify`` and ``bench`` run their trials in order in the calling process.
 
@@ -406,6 +406,9 @@ def dispatch(argv: Sequence[str]) -> int:
         return 2
     except (LinecutError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

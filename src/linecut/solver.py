@@ -15,7 +15,9 @@ maximum along its diagonals, by list comprehensions that make at most three
 comparisons per state.  Swapping the two sets maps state (p, r) to (q, t)
 and leaves ``gap * (p*t + q*r)`` unchanged, so every level table is
 centrally symmetric, and only its rows with p <= q are computed; each other
-row is its mirror's, read backwards.
+row is its mirror's, read backwards.  A level keeps only the rows read
+later: the next level reads no source row past its own big // 2, and the
+fold none of the last level past n // 2.
 
 The fill keeps cut values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
@@ -38,7 +40,9 @@ The fill's work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
 states, a few comparisons each whatever the window's width, so on the order
 of ``n^2 * l``, which is ``n^3`` for all-distinct input; the bench harness
 measures the empirical exponent.  Table values are Python integers, so the
-fill is exact for every coordinate span.
+fill is exact for every coordinate span.  It holds about one level's rows at
+a time, each of at most n + 1 ints: a level releases each row of the one
+before once its own rows have passed it.
 """
 
 from __future__ import annotations
@@ -72,8 +76,11 @@ def fill_level(
     """Fill one level (>= 2) from the previous level's values.
 
     Returns ``values`` where ``values[p][r]`` is the maximum cut of the
-    level's subproblem.  Exact for arbitrarily large coordinates (Python
-    ints).
+    level's subproblem, for the rows p = 0..reach, reach = min(big,
+    ``ci.prefix[level]`` // 2): the next level reads no source row past its
+    own big // 2, which is ``ci.prefix[level] // 2``, and ``size_scores``
+    reads the last level to n // 2, the same rule.  Exact for arbitrarily
+    large coordinates (Python ints).
 
     State (p, r) takes r0 of the previous coordinate's m_prev copies into the
     first set and the rest into the second, so its window is the r0 with r0
@@ -102,28 +109,43 @@ def fill_level(
     at x = 0: a window is narrower than w only when x = 0, or when y =
     prev_big < p, and then p <= big // 2 forces p < m_prev, so x = 0 again.
     So every state costs at most three comparisons, whatever its window's
-    width.  ``prev`` is not modified.
+    width.
 
-    ``prev`` must be centrally symmetric, ``prev[p][r] ==
-    prev[-1 - p][-1 - r]``; ``base_level`` and every level this returns
-    are.  Then so is the new level, whose state (p, r) mirrors (q, t) with
-    q = big - p the second-set points left of the level's coordinate: only
-    rows p <= q are computed, and row q is row p reversed.
+    ``prev`` is consumed: once row p is stored, source row x - 1 is set to
+    None, x = p - hi = max(0, p - m_prev).  x grows by at most one per row,
+    and every later read is at or above it: the one- and two-entry slices,
+    pre's block start y - y % w and the rows it advances past, and the suf
+    rows x..e.  So the rows alive at once are about one level's, and a read
+    of a released row would raise a ``TypeError`` rather than return a
+    value.  No row of ``prev`` is changed.
+
+    ``prev`` must be rows 0..min(prev_big, big // 2) of a centrally
+    symmetric level, ``V[p][r] == V[prev_big - p][-1 - r]``; ``base_level``
+    and the rows every call returns are.  Then the new level is symmetric
+    too, its state (p, r) mirroring (q, t) with q = big - p the second-set
+    points left of the level's coordinate: only rows p <= q are computed,
+    and a row q <= reach is row p reversed.
     """
     if not 2 <= level <= ci.l:
         raise InternalInconsistency(f"level {level} outside 2..{ci.l}")
     big = ci.prefix[level - 1]
     prev_big = ci.prefix[level - 2]
-    if len(prev) != prev_big + 1 or len(prev[0]) != ci.n - prev_big + 1:
+    # prev holds its rows up to this level's half (see docstring).  A
+    # conditional, not min(): the fill calls no max() or min().
+    prev_reach = prev_big if prev_big < big // 2 else big // 2
+    if len(prev) != prev_reach + 1 or len(prev[0]) != ci.n - prev_big + 1:
         raise InternalInconsistency("previous level table has wrong shape")
     m_prev = ci.mult[level - 2]
     gap = ci.xs[level - 1] - ci.xs[level - 2]
     rowlen = ci.n - big + 1
 
-    values = [None] * (big + 1)
+    # Rows 0..reach are the ones the next level, or size_scores, reads.
+    half = ci.prefix[level] // 2
+    reach = big if big < half else half
+    values = [None] * (reach + 1)
     # Block maxima over the source rows pp = p - r0 (see docstring): pre is
     # pre(pre_y), and sufs holds suf(x) for the rest of x's block, the next
-    # x on top.  Both are built as new lists, so prev is left as it was.
+    # x on top.  Both are built as new lists, so no row of prev is changed.
     w = m_prev + 1
     pre = None
     pre_y = -1
@@ -183,16 +205,20 @@ def fill_level(
             else:
                 row = list(map(add, terms, a))
         values[p] = row
-        if q != p:
+        if p < q <= reach:
             values[q] = row[::-1]
+        if p > hi:
+            # No later row reads below x = p - hi, which never falls.
+            prev[p - hi - 1] = None
     return values
 
 
 def fill_tables(ci: CompressedInstance) -> list[list[int]]:
-    """Fill every level bottom-up and return the last level's table.
+    """Fill every level bottom-up and return the last level's rows p <= n // 2.
 
-    ``top[p][r]`` is the maximum cut of state (p, r) at the last level;
-    earlier levels are rolled over.
+    ``top[p][r]`` is the maximum cut of state (p, r) at the last level, for
+    p = 0..min(big, n // 2).  Each level consumes the one before it, so the
+    fill holds about one level's rows at any moment.
     """
     top = base_level(ci.n)
     for level in range(2, ci.l + 1):
@@ -207,10 +233,10 @@ def size_scores(ci: CompressedInstance) -> tuple[int, ...]:
     Runs ``fill_tables`` and folds the last level into a tuple of n + 1
     ints: ``scores[k]`` is the best of the states (p, k - p).  Each size k <=
     n // 2 takes one ``max`` over a strided slice of the rows p <= n // 2,
-    the only rows its states lie in, laid end to end.  Swapping the two sets
-    maps size k to size n - k, so ``scores[n - k] == scores[k]`` and the
-    sizes above n // 2 are read off the mirror.  The table is dropped on
-    return.
+    the only rows its states lie in and the only rows ``fill_tables``
+    returns, laid end to end.  Swapping the two sets maps size k to size
+    n - k, so ``scores[n - k] == scores[k]`` and the sizes above n // 2 are
+    read off the mirror.  The rows are dropped on return.
 
     The scores of the most recent instance are kept, so the maximisations
     posed of one instance cost one fill.  Each caller still checks the score
@@ -219,11 +245,11 @@ def size_scores(ci: CompressedInstance) -> tuple[int, ...]:
     """
     top = fill_tables(ci)
     n = ci.n
-    big = len(top) - 1
+    big = ci.prefix[-2]
     m_last = n - big
     # Rows p <= n // 2 end to end: state (p, k - p) sits at k + p * m_last,
     # so size k's states are every m_last-th entry, p from lo to hi.
-    flat = list(chain.from_iterable(top[: n // 2 + 1]))
+    flat = list(chain.from_iterable(top))
     low = []
     for k in range(n // 2 + 1):
         lo = k - m_last if k > m_last else 0

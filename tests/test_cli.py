@@ -92,6 +92,17 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_out_of_memory_fails_cleanly(self, capsys, monkeypatch, instance_file):
+        # An instance whose tables do not fit in memory: error and exit 1,
+        # not a MemoryError traceback.  solve raises it without allocating.
+        def exhausted(ci, spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        path = instance_file("0\n1\n")
+        code, out, err = run_cli(capsys, "solve", "--problem", "max-cut", "--input", path)
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     @pytest.mark.parametrize(
         "text",
         ["1" * 5000 + "\n", "0 " + "1" * 5000 + "\n"],

@@ -177,15 +177,32 @@ def signed_gaps(ci, objective):
     return SimpleNamespace(n=ci.n, l=ci.l, xs=xs, mult=ci.mult, prefix=ci.prefix)
 
 
+def rows_kept(ci, level):
+    """How many rows ``fill_level`` returns at ``level``: p = 0..reach, the
+    rows the next level reads, which stop at its big // 2, or at n // 2 on
+    the last level, where ``size_scores`` reads them."""
+    return min(ci.prefix[level - 1], ci.prefix[level] // 2) + 1
+
+
+def assert_consumed(prev, before):
+    """``fill_level`` may release rows of ``prev`` (set them to None), but it
+    changes no row it keeps: ``before`` is a deep copy taken before the call."""
+    assert len(prev) == len(before)
+    assert all(row is None or row == kept for row, kept in zip(prev, before))
+
+
 def assert_matches_scalar_scan(ci):
     """The row fill against the scalar scan, and at every size the rank DP's
     score and profile against the scalar backtrack's, and ``size_scores``
-    against its maximum cuts."""
-    prev = base_level(ci.n)
+    against its maximum cuts.
+
+    The scan fills each whole level from its own previous table: it reads
+    rows that the fill neither returns nor keeps."""
+    prev = scalar_prev = base_level(ci.n)
     for level in range(2, ci.l + 1):
-        values = fill_level(ci, level, prev)
-        assert values == scalar_fill_level(ci, level, prev, Objective.MAX)[0]
-        prev = values
+        scalar_prev = scalar_fill_level(ci, level, scalar_prev, Objective.MAX)[0]
+        prev = fill_level(ci, level, prev)
+        assert prev == scalar_prev[: rows_kept(ci, level)]
     for objective in Objective:
         answers = scalar_backtrack(ci, objective)
         for k, answer in answers.items():
@@ -256,24 +273,35 @@ class TestRowWiseFill:
     @example(ci_of(*[0] * 5, *[1] * 5, *[2] * 5, *[3] * 5))
     def test_diagonals_match_row_fill(self, ci):
         # Diagonal k of the top table holds the states (p, k - p), and its
-        # best is the rank DP's maximum of size k.
+        # best is the rank DP's maximum of size k.  The rows present, p <=
+        # n // 2, hold every state of the sizes k <= n // 2; size k > n // 2
+        # scores what size n - k does.
         top = fill_tables(ci)
-        big = len(top) - 1
-        for k in range(ci.n + 1):
-            feasible = range(max(0, k - (ci.n - big)), min(big, k) + 1)
-            best = max(top[p][k - p] for p in feasible)
-            assert rankdp.solve_size(ci, k, Objective.MAX)[0] == best
+        n, big = ci.n, ci.prefix[-2]
+        scores = []
+        for k in range(n // 2 + 1):
+            feasible = range(max(0, k - (n - big)), min(big, k) + 1)
+            scores.append(max(top[p][k - p] for p in feasible))
+        for k in range(n + 1):
+            assert rankdp.solve_size(ci, k, Objective.MAX)[0] == scores[min(k, n - k)]
 
     @given(st.one_of(distinct_cis, duplicate_heavy_cis, wide_cis))
     def test_level_tables_are_centrally_symmetric(self, ci):
         # Swapping the sets maps state (p, r) to (big - p, rowlen - 1 - r).
+        # The scan keeps every row; the fill keeps rows up to reach, so each
+        # of its mirror rows q <= reach is checked against its source row.
         table = scalar_table = base_level(ci.n)
         for level in range(2, ci.l + 1):
             table = fill_level(ci, level, table)
             scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
+            big = ci.prefix[level - 1]
+            assert len(scalar_table) == big + 1
             for values in (table, scalar_table):
-                big = len(values) - 1
-                assert all(values[p] == values[big - p][::-1] for p in range(big + 1))
+                assert all(
+                    values[p] == values[big - p][::-1]
+                    for p in range(len(values))
+                    if big - p < len(values)
+                )
         assert table == fill_tables(ci)
 
     @pytest.mark.parametrize("objective", list(Objective))
@@ -282,9 +310,10 @@ class TestRowWiseFill:
         ci = ci_of(*[0] * 4, *[1] * 4, 2)
         assert window(4, ci.prefix[2] - 4, ci.mult[1]) == list(range(5))
         prev = [[5] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
-        assert fill_level(signed_gaps(ci, objective), 3, prev) == scalar_fill_level(
-            ci, 3, prev, objective
-        )[0]
+        want_values, _ = scalar_fill_level(ci, 3, prev, objective)
+        assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+            : rows_kept(ci, 3)
+        ]
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_best_far_into_a_wide_window_fills_values(self, objective):
@@ -299,7 +328,9 @@ class TestRowWiseFill:
         prev[20][280] = prev[280][21] = 1
         want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
         assert want_r0[300][0] == 280
-        assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values
+        assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+            : rows_kept(ci, 3)
+        ]
 
     @pytest.mark.parametrize(
         "spec",
@@ -330,8 +361,10 @@ class TestRowWiseFill:
             before = copy.deepcopy(prev)
             want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
             assert want_r0[p][0] == r0
-            assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values
-            assert prev == before
+            assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+                : rows_kept(ci, 3)
+            ]
+            assert_consumed(prev, before)
 
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("w", [3, 4, 5, 8, 9, 17, 33])
@@ -339,7 +372,8 @@ class TestRowWiseFill:
         # Level 3 cuts its source rows into blocks of w = m_prev + 1 rows.
         # State p in w..2w - 2 has the window r0 = 0..w - 1, the source rows
         # x = p - w + 1 to p, which start inside block 0 and end in block 1:
-        # the row is read from suf(x) and pre(p).
+        # the row is read from suf(x) and pre(p).  The scan reads the whole
+        # previous level, the fill its rows 0..2w - 1 = (4w - 1) // 2.
         ci = ci_of(*[0] * (3 * w), *[1] * (w - 1), 2)
         for p in sorted({w, w + w // 2, 2 * w - 2}):
             assert (p - w + 1) % w
@@ -350,11 +384,40 @@ class TestRowWiseFill:
                 # keeps prev centrally symmetric; prev holds scores, so the
                 # single best is the largest under either objective.
                 prev[p - r0][r0] = prev[-1 - (p - r0)][-1 - r0] = 1
-                before = copy.deepcopy(prev)
                 want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
                 assert want_r0[p][0] == r0
-                assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values
-                assert prev == before
+                prev = prev[: 2 * w]
+                before = copy.deepcopy(prev)
+                assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+                    : rows_kept(ci, 3)
+                ]
+                assert_consumed(prev, before)
+
+    @pytest.mark.parametrize(
+        "mults",
+        [(9, 4, 12, 3, 7, 15, 2, 8, 11, 5), (20, 14, 9, 6, 4, 3, 2, 1)],
+        ids=["mixed", "falling"],
+    )
+    def test_each_level_keeps_the_rows_read_and_releases_the_rows_passed(self, mults):
+        # Few values, many copies: windows wider than two entries on every
+        # level after the second.  Each level returns the rows p <= reach,
+        # and sets the source rows below x_last = max(0, big // 2 - m_prev),
+        # which its last row no longer reads, to None; it changes no other.
+        ci = ci_of(*[7 * i for i, m in enumerate(mults) for _ in range(m)])
+        prev = base_level(ci.n)
+        released = cut = 0
+        for level in range(2, ci.l + 1):
+            big, m_prev = ci.prefix[level - 1], ci.mult[level - 2]
+            before = copy.deepcopy(prev)
+            values = fill_level(ci, level, prev)
+            assert len(values) == min(big, ci.prefix[level] // 2) + 1
+            x_last = max(0, big // 2 - m_prev)
+            assert prev[:x_last] == [None] * x_last
+            assert prev[x_last:] == before[x_last:]
+            released += x_last
+            cut += len(values) < big + 1
+            prev = values
+        assert released and cut  # rows are released, and levels cut short
 
     # Medium n on few values, past the hypothesis strategies' reach: windows
     # up to dozens of entries, across every block of a level.
@@ -373,11 +436,11 @@ class TestRowWiseFill:
         xs = sorted(rng.sample(range(-(10**6), 10**6), len(mults)))
         ci = ci_of(*[x for x, m in zip(xs, mults) for _ in range(m)])
         assert ci.mult == tuple(mults)
-        table = base_level(n)
+        table = scalar_table = base_level(n)
         for level in range(2, ci.l + 1):
-            want_values, _ = scalar_fill_level(ci, level, table, Objective.MAX)
+            scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
             table = fill_level(ci, level, table)
-            assert table == want_values
+            assert table == scalar_table[: rows_kept(ci, level)]
         for objective in Objective:
             reference = scalar_backtrack(ci, objective)
             for k in (1, n // 3, n // 2, n - 2):
@@ -567,13 +630,15 @@ class TestOneFillPerInstance:
         for ci in cis:
             n = ci.n
             top = fill_tables(signed_gaps(ci, objective))
-            diagonals = [[] for _ in range(n + 1)]
+            # The rows p <= n // 2 hold every state of the sizes k <= n // 2.
+            assert len(top) == min(ci.prefix[-2], n // 2) + 1
+            diagonals = [[] for _ in range(n // 2 + 1)]
             for p, row in enumerate(top):
-                for r, v in enumerate(row):
+                for r, v in enumerate(row[: n // 2 + 1 - p]):
                     diagonals[p + r].append(v)
             # The fold, uncached: MIN's stand-in is no cache key.
             scores = size_scores.__wrapped__(signed_gaps(ci, objective))
-            assert scores == tuple(max(d) for d in diagonals)
+            assert scores[: n // 2 + 1] == tuple(max(d) for d in diagonals)
             assert scores == scores[::-1]  # scores[k] == scores[n - k]
             # The rank DP, the only MIN algorithm in solve, agrees at every size.
             assert scores == tuple(
