@@ -21,10 +21,16 @@ fold none of the last level past n // 2.
 
 The fill keeps cut values only.  Every transition keeps p + r, the size of
 the first set, fixed, so each level is n + 1 independent diagonals, one per
-size k, and one fill answers every size.  ``size_scores`` folds the last
-level into the maximum cut of each size, keeping the n + 1 ints of the most
-recent instance only: the maximisations ``verify`` poses on one instance
-cost one fill, and choosing the optimal size is a lookup.
+size k, and a state on diagonal k reads only diagonal k of the level
+before.  So a question fills only the diagonals up to the largest size K it
+reads: min(k, n - k) for an exact size k, since size n - k scores what size
+k does, and n // 2 for max-cut and bisections.  Row p stops at diagonal K
+unless its mirror row big - p <= K may be kept, which reads row p's high
+diagonals backwards; such a row is built whole, and at K = n // 2 every row
+is.  ``size_scores`` folds the last level into the maximum cut of each size
+up to K, keeping the scores of the most recent instance only: the
+maximisations ``verify`` poses on one instance, max-cut first, cost one
+fill, and choosing the optimal size is a lookup.
 
 The profile, and a check on the fill's optimum, come from a second exact
 recurrence that shares no code with the fill: ``rankdp.solve_size`` returns
@@ -36,18 +42,20 @@ minimisation runs the rank DP alone, and ``model.exchange_gain`` certifies
 its profile in O(l): a size-k minimum is exactly a profile that no move of
 one first-set point improves.
 
-The fill's work is about half of ``sum_i (|left_i|+1) * (n-|left_i|+1)``
-states, a few comparisons each whatever the window's width, so on the order
-of ``n^2 * l``, which is ``n^3`` for all-distinct input; the bench harness
-measures the empirical exponent.  Table values are Python integers, so the
-fill is exact for every coordinate span.  It holds about one level's rows at
-a time, each of at most n + 1 ints: a level releases each row of the one
-before once its own rows have passed it.
+At K = n // 2 the fill's work is about half of ``sum_i (|left_i|+1) *
+(n-|left_i|+1)`` states, a few comparisons each whatever the window's
+width, so on the order of ``n^2 * l``, which is ``n^3`` for all-distinct
+input; the bench harness measures the empirical exponent.  A smaller K
+computes at most K + 1 rows per level, each of at most K + 1 entries
+except the whole rows, which only the levels with at most 2K + 1 points
+to their left have: O(n * K^2) states.  Table values are Python integers,
+so the fill is exact for every coordinate span.  It holds about one
+level's rows at a time, each of at most n + 1 ints: a level releases each
+row of the one before once its own rows have passed it.
 """
 
 from __future__ import annotations
 
-import functools
 from itertools import chain, repeat
 from operator import add
 
@@ -72,15 +80,26 @@ def fill_level(
     ci: CompressedInstance,
     level: int,
     prev: list[list[int]],
+    K: int,
 ) -> list[list[int]]:
-    """Fill one level (>= 2) from the previous level's values.
+    """Fill one level (>= 2) from the previous level's values, up to size K.
 
     Returns ``values`` where ``values[p][r]`` is the maximum cut of the
     level's subproblem, for the rows p = 0..reach, reach = min(big,
-    ``ci.prefix[level]`` // 2): the next level reads no source row past its
-    own big // 2, which is ``ci.prefix[level] // 2``, and ``size_scores``
-    reads the last level to n // 2, the same rule.  Exact for arbitrarily
-    large coordinates (Python ints).
+    ``ci.prefix[level]`` // 2, K): the next level reads no source row past
+    its own big // 2, which is ``ci.prefix[level]`` // 2, ``size_scores``
+    reads the last level to n // 2, the same rule, and no state of a size
+    at most K lies in a row past K.  Exact for arbitrarily large
+    coordinates (Python ints).
+
+    The cap: every transition keeps p + r, so a state on diagonal k reads
+    only diagonal k of ``prev``, and the scores of the sizes k <= K need
+    no state past diagonal K.  Row p holds its entries r <= min(n - big, K
+    - p) only, unless p >= big - K: then its mirror row q = big - p <= K
+    may be kept, and a mirror read backwards holds row p's high diagonals,
+    so row p is built whole, n - big + 1 entries.  At K = n // 2 every row
+    is whole.  Every slice and gap-term range below is cut to the row's
+    length, and the block-maximum rows shorten with the rows they read.
 
     State (p, r) takes r0 of the previous coordinate's m_prev copies into the
     first set and the rest into the second, so its window is the r0 with r0
@@ -109,7 +128,10 @@ def fill_level(
     at x = 0: a window is narrower than w only when x = 0, or when y =
     prev_big < p, and then p <= big // 2 forces p < m_prev, so x = 0 again.
     So every state costs at most three comparisons, whatever its window's
-    width.
+    width.  Every block-maximum row reads only source rows in the window
+    of the row it serves, and each of those holds every column that row
+    reads, so the rows that ``zip`` shortens to the shortest source row
+    still cover it.
 
     ``prev`` is consumed: once row p is stored, source row x - 1 is set to
     None, x = p - hi = max(0, p - m_prev).  x grows by at most one per row,
@@ -119,29 +141,37 @@ def fill_level(
     of a released row would raise a ``TypeError`` rather than return a
     value.  No row of ``prev`` is changed.
 
-    ``prev`` must be rows 0..min(prev_big, big // 2) of a centrally
-    symmetric level, ``V[p][r] == V[prev_big - p][-1 - r]``; ``base_level``
-    and the rows every call returns are.  Then the new level is symmetric
-    too, its state (p, r) mirroring (q, t) with q = big - p the second-set
-    points left of the level's coordinate: only rows p <= q are computed,
-    and a row q <= reach is row p reversed.
+    ``prev`` must be rows 0..min(prev_big, big // 2, K) of a centrally
+    symmetric level filled up to the same K, ``V[p][r] == V[prev_big -
+    p][-1 - r]`` wherever both are present; ``base_level`` and the rows
+    every call returns are.  Then the new level is symmetric too, its state
+    (p, r) mirroring (q, t) with q = big - p the second-set points left of
+    the level's coordinate: only rows p <= min(q, K) are computed, and a
+    row q <= reach is row p reversed.
     """
     if not 2 <= level <= ci.l:
         raise InternalInconsistency(f"level {level} outside 2..{ci.l}")
+    n = ci.n
     big = ci.prefix[level - 1]
     prev_big = ci.prefix[level - 2]
-    # prev holds its rows up to this level's half (see docstring).  A
-    # conditional, not min(): the fill calls no max() or min().
+    # prev holds its rows up to this level's half, or K, and its row 0 is
+    # cut at K unless it is whole (see docstring).  Conditionals, not
+    # min(): the fill calls no max() or min().
     prev_reach = prev_big if prev_big < big // 2 else big // 2
-    if len(prev) != prev_reach + 1 or len(prev[0]) != ci.n - prev_big + 1:
+    if K < prev_reach:
+        prev_reach = K
+    prev_rowlen = K + 1 if prev_big > K and K < n - prev_big else n - prev_big + 1
+    if len(prev) != prev_reach + 1 or len(prev[0]) != prev_rowlen:
         raise InternalInconsistency("previous level table has wrong shape")
     m_prev = ci.mult[level - 2]
     gap = ci.xs[level - 1] - ci.xs[level - 2]
-    rowlen = ci.n - big + 1
+    rowlen = n - big + 1
 
     # Rows 0..reach are the ones the next level, or size_scores, reads.
     half = ci.prefix[level] // 2
     reach = big if big < half else half
+    if K < reach:
+        reach = K
     values = [None] * (reach + 1)
     # Block maxima over the source rows pp = p - r0 (see docstring): pre is
     # pre(pre_y), and sufs holds suf(x) for the rest of x's block, the next
@@ -150,9 +180,13 @@ def fill_level(
     pre = None
     pre_y = -1
     sufs = []
-    # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring).
-    for p in range(big // 2 + 1):
+    # Rows p > big // 2 are the mirrors of rows q = big - p (see docstring),
+    # and rows p > K hold no size up to K.
+    last = big // 2 if big // 2 < K else K
+    for p in range(last + 1):
         q = big - p
+        # Row p stops at diagonal K unless its mirror may be kept.
+        length = K - p + 1 if q > K and K - p + 1 < rowlen else rowlen
         # The feasible r0: r0 <= p, and m_prev - r0 <= q.
         lo = m_prev - q if q < m_prev else 0
         hi = p if p < m_prev else m_prev
@@ -160,19 +194,19 @@ def fill_level(
         start = gap * p * (rowlen - 1)
         step = gap * (q - p)
         terms = (
-            range(start, start + step * rowlen, step)
+            range(start, start + step * length, step)
             if step
-            else repeat(start, rowlen)
+            else repeat(start, length)
         )
         # One r0 (row 0, and all of level 2): map(add) is faster here than
         # a comprehension, by about 3% of a multiset solve.
         if hi == lo:
-            row = list(map(add, terms, prev[p - lo][lo : lo + rowlen]))
+            row = list(map(add, terms, prev[p - lo][lo : lo + length]))
         elif hi == lo + 1:
             # Comparisons in a comprehension, not max() calls, which parse
             # keywords on every call and cost about three times as much.
-            a = prev[p - lo][lo : lo + rowlen]
-            b = prev[p - hi][hi : hi + rowlen]
+            a = prev[p - lo][lo : lo + length]
+            b = prev[p - hi][hi : hi + length]
             row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
         else:
             # The source window x..y; y never falls as p grows.
@@ -187,7 +221,7 @@ def fill_level(
                     pairs = zip(prev[pp], pre[1:])
                     pre = [v if v > u else u for u, v in pairs]
                 pre_y = y
-            a = pre[lo : lo + rowlen]
+            a = pre[lo : lo + length]
             if x % w:
                 if not sufs:
                     # x has just entered its block: suf(pp) for the rows
@@ -200,7 +234,7 @@ def fill_level(
                         pairs = zip(prev[pp][e - pp :], suf)
                         suf = [v if v > u else u for u, v in pairs]
                         sufs.append(suf)
-                b = sufs.pop()[x % w : x % w + rowlen]
+                b = sufs.pop()[x % w : x % w + length]
                 row = [t + (v if v > u else u) for t, u, v in zip(terms, a, b)]
             else:
                 row = list(map(add, terms, a))
@@ -213,62 +247,97 @@ def fill_level(
     return values
 
 
-def fill_tables(ci: CompressedInstance) -> list[list[int]]:
-    """Fill every level bottom-up and return the last level's rows p <= n // 2.
+def fill_tables(ci: CompressedInstance, K: int) -> list[list[int]]:
+    """Fill every level bottom-up, up to size K, and return the last level.
 
     ``top[p][r]`` is the maximum cut of state (p, r) at the last level, for
-    p = 0..min(big, n // 2).  Each level consumes the one before it, so the
-    fill holds about one level's rows at any moment.
+    p = 0..min(big, K), K <= n // 2; row p holds r = 0..min(n - big, K -
+    p), or every r when p >= big - K (see ``fill_level``).  Each level
+    consumes the one before it, so the fill holds about one level's rows at
+    any moment.  The work is about half of ``sum_i (big_i + 1) * (n -
+    big_i + 1)`` states at K = n // 2, on the order of ``n^3`` for
+    all-distinct input, and O(n * K^2) for a smaller K: at most K + 1 rows
+    per level, each of at most K + 1 entries unless p >= big - K, which
+    needs big <= 2K + 1.
     """
     top = base_level(ci.n)
     for level in range(2, ci.l + 1):
-        top = fill_level(ci, level, top)
+        top = fill_level(ci, level, top, K)
     return top
 
 
-@functools.lru_cache(maxsize=1)
-def size_scores(ci: CompressedInstance) -> tuple[int, ...]:
-    """The maximum cut of every first-set size k = 0..n.
+# The instance and the scores of its sizes 0..K most recently filled.
+_kept_scores: tuple = (None, ())
 
-    Runs ``fill_tables`` and folds the last level into a tuple of n + 1
-    ints: ``scores[k]`` is the best of the states (p, k - p).  Each size k <=
-    n // 2 takes one ``max`` over a strided slice of the rows p <= n // 2,
-    the only rows its states lie in and the only rows ``fill_tables``
-    returns, laid end to end.  Swapping the two sets maps size k to size
-    n - k, so ``scores[n - k] == scores[k]`` and the sizes above n // 2 are
-    read off the mirror.  The rows are dropped on return.
 
-    The scores of the most recent instance are kept, so the maximisations
-    posed of one instance cost one fill.  Each caller still checks the score
-    it reads against its own run of the rank DP, and sweeps the profile that
-    run returns.
+def clear_size_scores() -> None:
+    """Forget the scores ``size_scores`` keeps, so its next call fills."""
+    global _kept_scores
+    _kept_scores = (None, ())
+
+
+def size_scores(ci: CompressedInstance, K: int) -> tuple[int, ...]:
+    """The maximum cut of every first-set size k = 0..K, K <= n // 2.
+
+    Runs ``fill_tables`` up to K and folds the last level into a tuple of K
+    + 1 ints: ``scores[k]`` is the best of the states (p, k - p).  Each size
+    takes one ``max`` over a strided slice of the rows p <= K, the only
+    rows its states lie in and the only rows ``fill_tables`` returns, laid
+    end to end, each row cut at diagonal K padded to n - big + 1 entries.
+    A padding entry sits past diagonal K, so no slice reads it.  Swapping
+    the two sets maps size k to size n - k, so a size above n // 2 scores
+    what size n - k does.  The rows are dropped on return.
+
+    One instance's scores are kept, those of the largest K asked since it
+    was first filled: a call for any K up to that one, on an equal
+    instance, is answered from them, so the maximisations posed of one
+    instance cost one fill when max-cut comes first.  A larger K fills
+    again, and ``clear_size_scores`` forgets them.  Each caller still
+    checks the score it reads against its own run of the rank DP, and
+    sweeps the profile that run returns.
     """
-    top = fill_tables(ci)
-    n = ci.n
+    global _kept_scores
+    kept_ci, kept = _kept_scores
+    if K < len(kept) and (kept_ci is ci or kept_ci == ci):
+        return kept[: K + 1]
+    top = fill_tables(ci, K)
     big = ci.prefix[-2]
-    m_last = n - big
-    # Rows p <= n // 2 end to end: state (p, k - p) sits at k + p * m_last,
-    # so size k's states are every m_last-th entry, p from lo to hi.
+    m_last = ci.n - big
+    # The rows cut at diagonal K, of K - p + 1 < m_last + 1 entries, padded
+    # to whole rows; no padding entry lies on a diagonal up to K.
+    pad = [0] * m_last
+    for p in range(max(K - m_last + 1, 0), min(big - K, K + 1)):
+        top[p] += pad[K - p :]
+    # Rows p <= K end to end: state (p, k - p) sits at k + p * m_last, so
+    # size k's states are every m_last-th entry, p from lo to hi.
     flat = list(chain.from_iterable(top))
-    low = []
-    for k in range(n // 2 + 1):
+    scores = []
+    for k in range(K + 1):
         lo = k - m_last if k > m_last else 0
         hi = k if k < big else big
-        low.append(max(flat[k + lo * m_last : k + hi * m_last + 1 : m_last]))
-    return tuple(low + low[(n - 1) // 2 :: -1])
+        scores.append(max(flat[k + lo * m_last : k + hi * m_last + 1 : m_last]))
+    scores = tuple(scores)
+    _kept_scores = ci, scores
+    return scores
 
 
-def scan_roots(scores: tuple[int, ...], spec: ProblemSpec) -> tuple[list[int], int]:
+def scan_roots(
+    scores: tuple[int, ...], spec: ProblemSpec, n: int
+) -> tuple[list[int], int]:
     """Return ``(sizes, cut)``: the maximum cut and the sizes reaching it.
 
     ``scores[k]`` is the maximum cut of first-set size k, as ``size_scores``
-    returns it.  Exact size k: ``scores[k]`` and the sizes ``[k]``.
-    Unconstrained: the best cut and every size reaching it, ascending.
+    returns it for the sizes 0..K that ``spec`` reads: K = min(k, n - k)
+    for an exact size k, which scores what size n - k does, and n // 2
+    unconstrained.  Exact size k: ``scores[K]`` and the sizes ``[k]``.
+    Unconstrained: the best cut and every size reaching it, ascending,
+    the sizes above n // 2 read off their mirrors.
     """
-    spec.validate_for(len(scores) - 1)
+    spec.validate_for(n)
     k = spec.k
     if k is not None:
-        return [k], scores[k]
+        return [k], scores[min(k, n - k)]
+    scores = scores + scores[(n - 1) // 2 :: -1]
     score = max(scores)
     return [k for k, v in enumerate(scores) if v == score], score
 
@@ -293,8 +362,10 @@ def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
     """Solve the cut problem exactly.
 
     The profile is the lexicographically smallest optimal one; for max-cut,
-    the smallest over every optimal first-set size.  A minimisation is the
-    rank DP's, and its profile must pass ``exchange_gain``.
+    the smallest over every optimal first-set size.  A maximisation fills
+    the sizes up to K = min(k, n - k) for an exact size k, so O(n * K^2)
+    states, and up to n // 2 for max-cut.  A minimisation is the rank DP's,
+    and its profile must pass ``exchange_gain``.
     """
     spec.validate_for(ci.n)
     if spec.objective is Objective.MIN:
@@ -305,7 +376,8 @@ def solve(ci: CompressedInstance, spec: ProblemSpec) -> Solution:
                 f"one move lowers the cut of the rank DP's size-{spec.k} minimum"
             )
     else:
-        sizes, value = scan_roots(size_scores(ci), spec)
+        K = ci.n // 2 if spec.k is None else min(spec.k, ci.n - spec.k)
+        sizes, value = scan_roots(size_scores(ci, K), spec, ci.n)
         profile = min(reconstruct(ci, k, value) for k in sizes)
     if cut_value_sweep(ci, profile) != value:
         raise InternalInconsistency("reconstructed profile does not evaluate to the optimum")

@@ -24,16 +24,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def fresh_scores():
-    """Start and end the test with an empty ``solver.size_scores`` cache.
+    """Start and end the test with no scores kept by ``solver.size_scores``.
 
     ``solve`` answers every maximisation on an instance from the scores of
     one fill, kept for the most recent instance.  A test that patches what
     the fill reads must neither be answered from scores filled before its
     patch nor leave scores filled under it to the tests after it.
     """
-    solver.size_scores.cache_clear()
+    solver.clear_size_scores()
     yield
-    solver.size_scores.cache_clear()
+    solver.clear_size_scores()
 
 
 @pytest.fixture
@@ -50,13 +50,15 @@ def broken_recurrence(monkeypatch, fresh_scores):
     installed and emptied again at tear-down, so every solve under it fills
     under it and no score filled under it outlives the test; a test that
     undoes the fault and solves an instance it already solved clears the
-    cache itself.  Checks that must catch a broken solver run with this
-    fixture; it only reaches the current process.
+    cache itself.  The fault passes the size cap K through, so every level
+    is raised whatever sizes the question reads.  Checks that must catch a
+    broken solver run with this fixture; it only reaches the current
+    process.
     """
     exact = solver.fill_level
 
-    def raised(ci, level, prev):
-        return [[v + 1 for v in row] for row in exact(ci, level, prev)]
+    def raised(ci, level, prev, K):
+        return [[v + 1 for v in row] for row in exact(ci, level, prev, K)]
 
     monkeypatch.setattr(solver, "fill_level", raised)
 

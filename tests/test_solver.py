@@ -32,6 +32,7 @@ from linecut.model import (
 from linecut.oracle import oracle_solve
 from linecut.solver import (
     base_level,
+    clear_size_scores,
     fill_level,
     fill_tables,
     scan_roots,
@@ -47,7 +48,7 @@ class TestFillLevel:
         # Instance {0,1,2}: collapsing to two locations 0 and 1, with two
         # extra copies sitting at 1.
         ci = ci_of(0, 1, 2)
-        values = fill_level(ci, 2, base_level(ci.n))
+        values = fill_level(ci, 2, base_level(ci.n), ci.n // 2)
         assert values[1][0] == 2
         assert values[0][2] == 2
 
@@ -57,14 +58,15 @@ class TestFillLevel:
     def test_level3_values(self):
         # Level 2 transitions are forced; the first real choice is at level 3.
         ci = ci_of(0, 1, 2)
-        values = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n)))
+        K = ci.n // 2
+        values = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), K), K)
         assert values[1][0] == 3
 
     @pytest.mark.parametrize("level", [1, 4], ids=["level-1", "level-l-plus-1"])
     def test_level_outside_range_refused(self, level):
         ci = ci_of(0, 1, 2)
         with pytest.raises(InternalInconsistency, match="level .* outside 2..3"):
-            fill_level(ci, level, base_level(ci.n))
+            fill_level(ci, level, base_level(ci.n), ci.n // 2)
 
     @pytest.mark.parametrize("reshape", [
         lambda prev: prev + [prev[-1]],
@@ -72,9 +74,9 @@ class TestFillLevel:
     ], ids=["one-row-too-many", "one-column-too-few"])
     def test_previous_table_of_wrong_shape_refused(self, reshape):
         ci = ci_of(0, 1, 2)
-        prev = fill_level(ci, 2, base_level(ci.n))
+        prev = fill_level(ci, 2, base_level(ci.n), ci.n // 2)
         with pytest.raises(InternalInconsistency, match="wrong shape"):
-            fill_level(ci, 3, reshape(prev))
+            fill_level(ci, 3, reshape(prev), ci.n // 2)
 
 
 def window(p, q, m_prev):
@@ -177,11 +179,24 @@ def signed_gaps(ci, objective):
     return SimpleNamespace(n=ci.n, l=ci.l, xs=xs, mult=ci.mult, prefix=ci.prefix)
 
 
-def rows_kept(ci, level):
-    """How many rows ``fill_level`` returns at ``level``: p = 0..reach, the
-    rows the next level reads, which stop at its big // 2, or at n // 2 on
-    the last level, where ``size_scores`` reads them."""
-    return min(ci.prefix[level - 1], ci.prefix[level] // 2) + 1
+def rows_kept(ci, level, K=None):
+    """How many rows ``fill_level`` returns at ``level`` for the sizes up to
+    K, n // 2 by default: p = 0..reach, the rows the next level reads, which
+    stop at its big // 2, or at n // 2 on the last level, where
+    ``size_scores`` reads them, and at K, past which no row holds a size up
+    to K."""
+    K = ci.n // 2 if K is None else K
+    return min(ci.prefix[level - 1], ci.prefix[level] // 2, K) + 1
+
+
+def row_length(ci, level, p, K):
+    """How many entries row p of ``fill_level``'s table at ``level`` holds
+    for the sizes up to K: r = 0..K - p, unless its mirror row big - p may
+    be kept (p >= big - K), which needs the whole row."""
+    big = ci.prefix[level - 1]
+    if p < big - K:
+        return min(ci.n - big, K - p) + 1
+    return ci.n - big + 1
 
 
 def assert_consumed(prev, before):
@@ -197,18 +212,21 @@ def assert_matches_scalar_scan(ci):
     against its maximum cuts.
 
     The scan fills each whole level from its own previous table: it reads
-    rows that the fill neither returns nor keeps."""
+    rows that the fill neither returns nor keeps.  At K = n // 2, the cap
+    of max-cut and bisections, every row the fill returns is whole."""
+    K = ci.n // 2
     prev = scalar_prev = base_level(ci.n)
     for level in range(2, ci.l + 1):
         scalar_prev = scalar_fill_level(ci, level, scalar_prev, Objective.MAX)[0]
-        prev = fill_level(ci, level, prev)
+        prev = fill_level(ci, level, prev, K)
         assert prev == scalar_prev[: rows_kept(ci, level)]
     for objective in Objective:
         answers = scalar_backtrack(ci, objective)
         for k, answer in answers.items():
             assert rankdp.solve_size(ci, k, objective) == answer
         if objective is Objective.MAX:
-            assert size_scores(ci) == tuple(score for score, _ in answers.values())
+            clear_size_scores()
+            assert size_scores(ci, K) == tuple(answers[k][0] for k in range(K + 1))
 
 
 def path_windows(ci, k, objective, profile):
@@ -276,8 +294,8 @@ class TestRowWiseFill:
         # best is the rank DP's maximum of size k.  The rows present, p <=
         # n // 2, hold every state of the sizes k <= n // 2; size k > n // 2
         # scores what size n - k does.
-        top = fill_tables(ci)
         n, big = ci.n, ci.prefix[-2]
+        top = fill_tables(ci, n // 2)
         scores = []
         for k in range(n // 2 + 1):
             feasible = range(max(0, k - (n - big)), min(big, k) + 1)
@@ -292,7 +310,7 @@ class TestRowWiseFill:
         # of its mirror rows q <= reach is checked against its source row.
         table = scalar_table = base_level(ci.n)
         for level in range(2, ci.l + 1):
-            table = fill_level(ci, level, table)
+            table = fill_level(ci, level, table, ci.n // 2)
             scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
             big = ci.prefix[level - 1]
             assert len(scalar_table) == big + 1
@@ -302,7 +320,7 @@ class TestRowWiseFill:
                     for p in range(len(values))
                     if big - p < len(values)
                 )
-        assert table == fill_tables(ci)
+        assert table == fill_tables(ci, ci.n // 2)
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_all_tied_wide_window_fills_values(self, objective):
@@ -311,7 +329,7 @@ class TestRowWiseFill:
         assert window(4, ci.prefix[2] - 4, ci.mult[1]) == list(range(5))
         prev = [[5] * (ci.n - ci.prefix[1] + 1) for _ in range(ci.prefix[1] + 1)]
         want_values, _ = scalar_fill_level(ci, 3, prev, objective)
-        assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+        assert fill_level(signed_gaps(ci, objective), 3, prev, ci.n // 2) == want_values[
             : rows_kept(ci, 3)
         ]
 
@@ -328,7 +346,7 @@ class TestRowWiseFill:
         prev[20][280] = prev[280][21] = 1
         want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
         assert want_r0[300][0] == 280
-        assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+        assert fill_level(signed_gaps(ci, objective), 3, prev, ci.n // 2) == want_values[
             : rows_kept(ci, 3)
         ]
 
@@ -361,7 +379,7 @@ class TestRowWiseFill:
             before = copy.deepcopy(prev)
             want_values, want_r0 = scalar_fill_level(ci, 3, prev, objective)
             assert want_r0[p][0] == r0
-            assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+            assert fill_level(signed_gaps(ci, objective), 3, prev, ci.n // 2) == want_values[
                 : rows_kept(ci, 3)
             ]
             assert_consumed(prev, before)
@@ -388,7 +406,7 @@ class TestRowWiseFill:
                 assert want_r0[p][0] == r0
                 prev = prev[: 2 * w]
                 before = copy.deepcopy(prev)
-                assert fill_level(signed_gaps(ci, objective), 3, prev) == want_values[
+                assert fill_level(signed_gaps(ci, objective), 3, prev, ci.n // 2) == want_values[
                     : rows_kept(ci, 3)
                 ]
                 assert_consumed(prev, before)
@@ -409,7 +427,7 @@ class TestRowWiseFill:
         for level in range(2, ci.l + 1):
             big, m_prev = ci.prefix[level - 1], ci.mult[level - 2]
             before = copy.deepcopy(prev)
-            values = fill_level(ci, level, prev)
+            values = fill_level(ci, level, prev, ci.n // 2)
             assert len(values) == min(big, ci.prefix[level] // 2) + 1
             x_last = max(0, big // 2 - m_prev)
             assert prev[:x_last] == [None] * x_last
@@ -439,7 +457,7 @@ class TestRowWiseFill:
         table = scalar_table = base_level(n)
         for level in range(2, ci.l + 1):
             scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
-            table = fill_level(ci, level, table)
+            table = fill_level(ci, level, table, n // 2)
             assert table == scalar_table[: rows_kept(ci, level)]
         for objective in Objective:
             reference = scalar_backtrack(ci, objective)
@@ -452,7 +470,7 @@ class TestRowWiseFill:
     def test_row_fill_calls_no_max_or_min(self, builtin_calls, objective, reflected):
         # Rows are built by comparisons, never by a max()/min() per state:
         # two-entry windows (all-distinct input), windows within one block
-        # and windows across two alike.
+        # and windows across two alike, whole rows and rows cut at K alike.
         sign = -1 if reflected else 1
         for xs in (
             range(40),
@@ -463,7 +481,9 @@ class TestRowWiseFill:
             # Windows across two blocks, at levels 4 and 6.
             tuple(x for x, m in enumerate((2, 9, 3, 20, 5, 1)) for _ in range(m)),
         ):
-            fill_tables(signed_gaps(ci_of(*[sign * x for x in xs]), objective))
+            ci = ci_of(*[sign * x for x in xs])
+            for K in (ci.n // 2, ci.n // 4, 1):
+                fill_tables(signed_gaps(ci, objective), K)
         assert builtin_calls == []
 
     def test_raised_levels_are_detected_on_distinct_input(
@@ -476,7 +496,7 @@ class TestRowWiseFill:
         # A minimisation reads no fill, so the fault leaves it right.
         assert solve(ci, ProblemSpec.min_partition(2)).value == 6
         monkeypatch.undo()
-        solver.size_scores.cache_clear()  # solve again from a fill without the fault
+        clear_size_scores()  # solve again from a fill without the fault
         assert solve(ci, ProblemSpec.max_partition(2)).value == 8
 
 
@@ -561,42 +581,121 @@ class TestDiagonalRefill:
         assert_matches_scalar_scan(ci)
 
 
+# Up to 40 points, all distinct or few values with many copies, whose
+# windows are wider than two entries.
+capped_cis = st.one_of(
+    st.lists(st.integers(-1000, 1000), min_size=1, max_size=40, unique=True),
+    st.lists(st.integers(0, 5), min_size=1, max_size=40),
+).map(lambda xs: ci_of(*xs))
+
+
+class TestSizeCap:
+    """A question that reads the sizes up to K fills only the diagonals up
+    to K: min(k, n - k) for an exact size k, n // 2 for max-cut and
+    bisections."""
+
+    @given(capped_cis)
+    @example(ci_of(*[0] * 9, *[1] * 9, *[2] * 9, 3))
+    @example(ci_of(*range(40)))
+    def test_scores_up_to_K_match_the_whole_fill(self, ci):
+        n = ci.n
+        top = scalar_tables(ci, Objective.MAX)[0][-1]
+        reference = tuple(
+            max(top[p][k - p] for p in range(k + 1) if p < len(top) and k - p < len(top[0]))
+            for k in range(n // 2 + 1)
+        )
+        clear_size_scores()
+        whole = size_scores(ci, n // 2)
+        assert whole == reference
+        for K in range(n // 2 + 1):
+            clear_size_scores()
+            assert size_scores(ci, K) == whole[: K + 1]
+        clear_size_scores()
+
+    @given(capped_cis)
+    @example(ci_of(*[0] * 9, *[1] * 9, *[2] * 9, 3))
+    def test_rows_stop_at_diagonal_K(self, ci):
+        # Each row the scan's, cut to diagonal K unless its mirror may be
+        # kept; at K = n // 2 every row is whole.
+        scalar = scalar_tables(ci, Objective.MAX)[0]
+        for K in range(ci.n // 2 + 1):
+            prev = base_level(ci.n)
+            for level in range(2, ci.l + 1):
+                prev = fill_level(ci, level, prev, K)
+                assert len(prev) == rows_kept(ci, level, K)
+                for p, row in enumerate(prev):
+                    assert len(row) == row_length(ci, level, p, K)
+                    assert row == scalar[level - 1][p][: len(row)]
+                if K == ci.n // 2:
+                    assert all(len(row) == ci.n - ci.prefix[level - 1] + 1 for row in prev)
+
+    def test_small_K_fills_a_twentieth_of_the_entries(self):
+        # A count of table entries, not a timing: all-distinct n = 100,
+        # max-partition k = 5 against the bisection.
+        ci = ci_of(*range(100))
+
+        def entries(K):
+            prev, total = base_level(ci.n), 0
+            for level in range(2, ci.l + 1):
+                prev = fill_level(ci, level, prev, K)
+                total += sum(map(len, prev))
+            return total
+
+        assert entries(5) * 20 < entries(50)
+
+
 class TestScanRoots:
-    def test_unconstrained(self):
-        scores = size_scores(ci_of(0, 1, 2))
-        assert scores == (0, 3, 3, 0)
-        sizes, value = scan_roots(scores, ProblemSpec.max_cut())
+    def test_unconstrained(self, fresh_scores):
+        scores = size_scores(ci_of(0, 1, 2), 1)
+        assert scores == (0, 3)
+        sizes, value = scan_roots(scores, ProblemSpec.max_cut(), 3)
         assert value == 3
         assert sizes == [1, 2]
 
-    def test_exact_k(self):
-        scores = size_scores(ci_of(0, 1, 2, 3))
-        assert scan_roots(scores, ProblemSpec.max_partition(2)) == ([2], 8)
-        assert scan_roots(scores, ProblemSpec.max_partition(0)) == ([0], 0)
+    def test_exact_k(self, fresh_scores):
+        scores = size_scores(ci_of(0, 1, 2, 3), 2)
+        assert scores == (0, 6, 8)
+        assert scan_roots(scores, ProblemSpec.max_partition(2), 4) == ([2], 8)
+        assert scan_roots(scores, ProblemSpec.max_partition(0), 4) == ([0], 0)
+        # Size 3 scores what size 1 does.
+        assert scan_roots(scores, ProblemSpec.max_partition(3), 4) == ([3], 6)
 
-    def test_bad_k(self):
-        scores = size_scores(ci_of(0, 1))
+    def test_bad_k(self, fresh_scores):
+        scores = size_scores(ci_of(0, 1), 1)
         with pytest.raises(InvalidK):
-            scan_roots(scores, ProblemSpec.max_partition(5))
+            scan_roots(scores, ProblemSpec.max_partition(5), 2)
 
 
 class TestOneFillPerInstance:
-    """``size_scores`` fills once per instance for every size."""
+    """``size_scores`` fills once per instance for every size up to the
+    largest one asked so far."""
 
-    def test_all_specs_fill_once(self):
+    def test_all_specs_fill_once(self, monkeypatch, fresh_scores):
+        fills = []
+        exact = solver.fill_tables
+
+        def counted(ci, K):
+            fills.append(K)
+            return exact(ci, K)
+
+        monkeypatch.setattr(solver, "fill_tables", counted)
         ci, other = ci_of(0, 0, 1, 3, 3, 3, 7, 12), ci_of(4, 4, 9)
-        size_scores.cache_clear()
+        # Max-cut first, as verify asks: it fills every size up to n // 2.
         for spec in all_specs(ci.n):
             solve(ci, spec)
-        assert size_scores.cache_info().misses == 1
+        assert fills == [4]
         # An equal instance built anew is the same key, and a minimisation
         # reads no scores.
         solve(ci_of(12, 7, 3, 3, 3, 1, 0, 0), ProblemSpec.max_partition(4))
         solve(other, ProblemSpec.min_partition(1))
-        assert size_scores.cache_info().misses == 1
+        assert fills == [4]
+        # A max-partition with K < n // 2 fills up to K only, so max-cut
+        # after it fills again; sizes up to n // 2 are then all answered.
+        solve(other, ProblemSpec.max_partition(0))
         solve(other, ProblemSpec.max_cut())
-        info = size_scores.cache_info()
-        assert (info.misses, info.currsize) == (2, 1)
+        for spec in all_specs(other.n):
+            solve(other, spec)
+        assert fills == [4, 0, 1]
 
     @given(st.one_of(compressed_instances(max_n=10), duplicate_heavy_cis))
     def test_answers_do_not_depend_on_call_order(self, ci):
@@ -606,19 +705,19 @@ class TestOneFillPerInstance:
             out = {}
             for spec in order:
                 if clear:
-                    size_scores.cache_clear()
+                    clear_size_scores()
                 sol = solve(ci, spec)
                 out[spec] = (sol.value, sol.profile)
             return out
 
-        size_scores.cache_clear()
+        clear_size_scores()
         forwards = answers(specs, clear=False)
         assert answers(specs[::-1], clear=False) == forwards
         assert answers(specs, clear=True) == forwards
 
     @pytest.mark.parametrize("kind", list(GenKind), ids=lambda kind: kind.value)
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_scores_are_the_diagonal_maxima(self, kind, objective):
+    def test_scores_are_the_diagonal_maxima(self, kind, objective, fresh_scores):
         cis = [
             compress(generate(GenSpec(kind, n, 10**4, derive_seed(11, n))))
             for n in (1, 2, 3, 8, 13, 31, 48, 60)
@@ -629,19 +728,20 @@ class TestOneFillPerInstance:
             cis.append(ci_of(*[x for x, m in zip((0, 3, 10), mults) for _ in range(m)]))
         for ci in cis:
             n = ci.n
-            top = fill_tables(signed_gaps(ci, objective))
+            top = fill_tables(signed_gaps(ci, objective), n // 2)
             # The rows p <= n // 2 hold every state of the sizes k <= n // 2.
             assert len(top) == min(ci.prefix[-2], n // 2) + 1
             diagonals = [[] for _ in range(n // 2 + 1)]
             for p, row in enumerate(top):
                 for r, v in enumerate(row[: n // 2 + 1 - p]):
                     diagonals[p + r].append(v)
-            # The fold, uncached: MIN's stand-in is no cache key.
-            scores = size_scores.__wrapped__(signed_gaps(ci, objective))
-            assert scores[: n // 2 + 1] == tuple(max(d) for d in diagonals)
-            assert scores == scores[::-1]  # scores[k] == scores[n - k]
-            # The rank DP, the only MIN algorithm in solve, agrees at every size.
-            assert scores == tuple(
+            # The fold, filled afresh: MIN's stand-in equals no instance.
+            clear_size_scores()
+            scores = size_scores(signed_gaps(ci, objective), n // 2)
+            assert scores == tuple(max(d) for d in diagonals)
+            # The rank DP, the only MIN algorithm in solve, agrees at every
+            # size, and size k scores what size n - k does.
+            assert tuple(scores[min(k, n - k)] for k in range(n + 1)) == tuple(
                 rankdp.solve_size(ci, k, objective)[0] for k in range(n + 1)
             )
 
@@ -762,8 +862,8 @@ class TestSelfChecks:
         # an earlier test left for this instance.
         exact = solver.fill_tables
 
-        def inflated(ci):
-            return [[v + 1 for v in row] for row in exact(ci)]
+        def inflated(ci, K):
+            return [[v + 1 for v in row] for row in exact(ci, K)]
 
         monkeypatch.setattr(solver, "fill_tables", inflated)
         with pytest.raises(InternalInconsistency):
@@ -854,8 +954,19 @@ class TestFaultHook:
         with pytest.raises(InternalInconsistency):
             solve(ci, ProblemSpec.max_cut())
         monkeypatch.undo()
-        solver.size_scores.cache_clear()  # solve again from a fill without the fault
+        clear_size_scores()  # solve again from a fill without the fault
         assert solve(ci, ProblemSpec.max_cut()).value == 3
+
+    def test_raised_levels_are_detected_below_half_size(self, broken_recurrence):
+        # Max-partition k = 3 of n = 28 fills up to K = 3: level 3 has rows
+        # cut at diagonal K and a four-entry window at p = 3, and every
+        # level is raised all the same.
+        ci = ci_of(*[0] * 9, *[1] * 9, *[2] * 9, 3)
+        big = ci.prefix[2]
+        assert row_length(ci, 3, 3, 3) < ci.n - big + 1
+        assert window(3, big - 3, ci.mult[1]) == [0, 1, 2, 3]
+        with pytest.raises(InternalInconsistency):
+            solve(ci, ProblemSpec.max_partition(3))
 
     def test_lowered_levels_reach_the_value_check(self, monkeypatch, fresh_scores):
         # Every level one lower: the fill runs to its end with a worse
@@ -865,13 +976,13 @@ class TestFaultHook:
         spec = ProblemSpec.max_partition(2)
         exact = solver.fill_level
 
-        def lowered(ci, level, prev):
-            return [[v - 1 for v in row] for row in exact(ci, level, prev)]
+        def lowered(ci, level, prev, K):
+            return [[v - 1 for v in row] for row in exact(ci, level, prev, K)]
 
         monkeypatch.setattr(solver, "fill_level", lowered)
-        assert size_scores(ci)[2] == 5  # the optimum is 8
+        assert size_scores(ci, 2)[2] == 5  # the optimum is 8
         with pytest.raises(InternalInconsistency, match="score 8 misses the optimum 5"):
             solve(ci, spec)
         monkeypatch.undo()
-        solver.size_scores.cache_clear()  # solve again from a fill without the fault
+        clear_size_scores()  # solve again from a fill without the fault
         assert solve(ci, spec).value == 8
