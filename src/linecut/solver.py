@@ -24,11 +24,17 @@ the first set, fixed, so each level is n + 1 independent diagonals, one per
 size k, and a state on diagonal k reads only diagonal k of the level
 before.  So a question fills only the diagonals up to the largest size K it
 reads: min(k, n - k) for an exact size k, since size n - k scores what size
-k does, and n // 2 for max-cut and bisections.  Row p stops at diagonal K
-unless its mirror row big - p <= K may be kept, which reads row p's high
-diagonals backwards; such a row is built whole, and at K = n // 2 every row
-is.  ``size_scores`` folds the last level into the maximum cut of each size
-up to K, keeping the scores of the most recent instance only: the
+k does, and n // 2 for max-cut and bisections.  Row p holds its diagonals
+up to K and, when its mirror row big - p <= K may be kept, the diagonals
+from n - K on, which that mirror reads backwards as its own low ones.  The
+band of diagonals K + 1..n - K - 1 between them, D = n - 2K - 1 wide, is
+the same at every level and never computed.  The low part ends at column
+K - p and the high part starts at r = n - K - p, so past the low part
+column c holds r = c + D; a source row p - r0 then still sits at offset
+r0, and the slices, block maxima and mirrors work on these rows as on
+whole ones.  At K = n // 2 the band is empty and every row is whole.
+``size_scores`` folds the last level into the maximum cut of each size up
+to K, keeping the scores of the most recent instance only: the
 maximisations ``verify`` poses on one instance, max-cut first, cost one
 fill, and choosing the optimal size is a lookup.
 
@@ -46,12 +52,12 @@ At K = n // 2 the fill's work is about half of ``sum_i (|left_i|+1) *
 (n-|left_i|+1)`` states, a few comparisons each whatever the window's
 width, so on the order of ``n^2 * l``, which is ``n^3`` for all-distinct
 input; the bench harness measures the empirical exponent.  A smaller K
-computes at most K + 1 rows per level, each of at most K + 1 entries
-except the whole rows, which only the levels with at most 2K + 1 points
-to their left have: O(n * K^2) states.  Table values are Python integers,
-so the fill is exact for every coordinate span.  It holds about one
-level's rows at a time, each of at most n + 1 ints: a level releases each
-row of the one before once its own rows have passed it.
+computes at most K + 1 rows per level, each of at most 2K + 2 entries, and
+of at most K + 1 unless the level has at most 2K points to its left: O(n *
+K^2) states.  Table values are Python integers, so the fill is exact for
+every coordinate span.  It holds about one level's rows at a time, each of
+at most n + 1 ints: a level releases each row of the one before once its
+own rows have passed it.
 """
 
 from __future__ import annotations
@@ -71,9 +77,14 @@ from .model import (
 from .rankdp import solve_size
 
 
-def base_level(n: int) -> list[list[int]]:
-    """Level-1 value table: single state p = 0, one column per r = 0..n, all zero."""
-    return [[0] * (n + 1)]
+def base_level(n: int, K: int) -> list[list[int]]:
+    """Level-1 value table filled up to size K: the single state p = 0, all zero.
+
+    Its row holds r = 0..K and then r = n - K..n, the columns off the band
+    K + 1..n - K - 1 (see ``fill_level``): 2K + 2 entries, or n + 1 at K =
+    n // 2, where the band is empty and the row is whole.
+    """
+    return [[0] * (2 * K + 2 if 2 * K + 1 < n else n + 1)]
 
 
 def fill_level(
@@ -94,12 +105,21 @@ def fill_level(
 
     The cap: every transition keeps p + r, so a state on diagonal k reads
     only diagonal k of ``prev``, and the scores of the sizes k <= K need
-    no state past diagonal K.  Row p holds its entries r <= min(n - big, K
-    - p) only, unless p >= big - K: then its mirror row q = big - p <= K
-    may be kept, and a mirror read backwards holds row p's high diagonals,
-    so row p is built whole, n - big + 1 entries.  At K = n // 2 every row
-    is whole.  Every slice and gap-term range below is cut to the row's
-    length, and the block-maximum rows shorten with the rows they read.
+    no state past diagonal K.  But a kept mirror row q = big - p <= K is
+    row p read backwards, and its low diagonals are row p's from n - K on.
+    So row p holds its low part, r = 0..min(n - big, K - p), and, when q
+    <= K, its high part, r = n - K - p..n - big: no row holds a diagonal
+    of the band K + 1..n - K - 1 between them, D = n - 2K - 1 wide.  The
+    low part ends at column K - p and the high part starts at r = n - K -
+    p, so past the low part column c holds r = c + D, the same D at every
+    level.  State (p, r) reads source row p - r0 at r + r0, and that row's
+    low part ends r0 columns after row p's, so in the columns too it reads
+    offset r0, in both parts alike.  A row with a high part reads only
+    source rows with one, since their q is no larger, so every shifted
+    slice, block-maximum row and mirror below works on these rows as on
+    whole ones, cut to the row's length; only the gap terms skip the band,
+    as two ranges.  At K = n // 2 the band is empty, D = 0, and every row
+    is whole.
 
     State (p, r) takes r0 of the previous coordinate's m_prev copies into the
     first set and the rest into the second, so its window is the r0 with r0
@@ -154,13 +174,19 @@ def fill_level(
     n = ci.n
     big = ci.prefix[level - 1]
     prev_big = ci.prefix[level - 2]
-    # prev holds its rows up to this level's half, or K, and its row 0 is
-    # cut at K unless it is whole (see docstring).  Conditionals, not
-    # min(): the fill calls no max() or min().
+    # The band of diagonals K + 1..n - K - 1 that no row holds, D wide, and
+    # empty at K = n // 2 (see docstring).
+    D = n - 2 * K - 1 if 2 * K + 1 < n else 0
+    # prev holds its rows up to this level's half, or K, and its row 0 skips
+    # the band.  Conditionals, not min(): the fill calls no max() or min().
     prev_reach = prev_big if prev_big < big // 2 else big // 2
     if K < prev_reach:
         prev_reach = K
-    prev_rowlen = K + 1 if prev_big > K and K < n - prev_big else n - prev_big + 1
+    prev_rowlen = n - prev_big + 1
+    if prev_big <= K:
+        prev_rowlen -= D
+    elif K + 1 < prev_rowlen:
+        prev_rowlen = K + 1
     if len(prev) != prev_reach + 1 or len(prev[0]) != prev_rowlen:
         raise InternalInconsistency("previous level table has wrong shape")
     m_prev = ci.mult[level - 2]
@@ -185,19 +211,33 @@ def fill_level(
     last = big // 2 if big // 2 < K else K
     for p in range(last + 1):
         q = big - p
-        # Row p stops at diagonal K unless its mirror may be kept.
-        length = K - p + 1 if q > K and K - p + 1 < rowlen else rowlen
         # The feasible r0: r0 <= p, and m_prev - r0 <= q.
         lo = m_prev - q if q < m_prev else 0
         hi = p if p < m_prev else m_prev
         # gap * (p * t + q * r) with t = rowlen - 1 - r is start + step * r
         start = gap * p * (rowlen - 1)
         step = gap * (q - p)
-        terms = (
-            range(start, start + step * length, step)
-            if step
-            else repeat(start, length)
-        )
+        if q > K or not D:
+            # No band in the row: it stops at diagonal K, or it is whole.
+            length = K - p + 1 if q > K and K - p + 1 < rowlen else rowlen
+            terms = (
+                range(start, start + step * length, step)
+                if step
+                else repeat(start, length)
+            )
+        else:
+            # r < low, then r >= low + D: column c past the low part holds
+            # r = c + D (see docstring).
+            low = K - p + 1
+            length = rowlen - D
+            terms = (
+                chain(
+                    range(start, start + step * low, step),
+                    range(start + step * (low + D), start + step * rowlen, step),
+                )
+                if step
+                else repeat(start, length)
+            )
         # One r0 (row 0, and all of level 2): map(add) is faster here than
         # a comprehension, by about 3% of a multiset solve.
         if hi == lo:
@@ -252,15 +292,16 @@ def fill_tables(ci: CompressedInstance, K: int) -> list[list[int]]:
 
     ``top[p][r]`` is the maximum cut of state (p, r) at the last level, for
     p = 0..min(big, K), K <= n // 2; row p holds r = 0..min(n - big, K -
-    p), or every r when p >= big - K (see ``fill_level``).  Each level
-    consumes the one before it, so the fill holds about one level's rows at
-    any moment.  The work is about half of ``sum_i (big_i + 1) * (n -
-    big_i + 1)`` states at K = n // 2, on the order of ``n^3`` for
-    all-distinct input, and O(n * K^2) for a smaller K: at most K + 1 rows
-    per level, each of at most K + 1 entries unless p >= big - K, which
-    needs big <= 2K + 1.
+    p), then r = n - K - p..n - big when p >= big - K, and no diagonal of
+    the band K + 1..n - K - 1 between them (see ``fill_level``).  At K = n
+    // 2 the band is empty and every row whole.  Each level consumes the
+    one before it, so the fill holds about one level's rows at any moment.
+    The work is about half of ``sum_i (big_i + 1) * (n - big_i + 1)``
+    states at K = n // 2, on the order of ``n^3`` for all-distinct input,
+    and O(n * K^2) for a smaller K: at most K + 1 rows per level, each of
+    at most 2K + 2 entries.
     """
-    top = base_level(ci.n)
+    top = base_level(ci.n, K)
     for level in range(2, ci.l + 1):
         top = fill_level(ci, level, top, K)
     return top
@@ -283,10 +324,12 @@ def size_scores(ci: CompressedInstance, K: int) -> tuple[int, ...]:
     + 1 ints: ``scores[k]`` is the best of the states (p, k - p).  Each size
     takes one ``max`` over a strided slice of the rows p <= K, the only
     rows its states lie in and the only rows ``fill_tables`` returns, laid
-    end to end, each row cut at diagonal K padded to n - big + 1 entries.
-    A padding entry sits past diagonal K, so no slice reads it.  Swapping
-    the two sets maps size k to size n - k, so a size above n // 2 scores
-    what size n - k does.  The rows are dropped on return.
+    end to end.  Each row keeps its low part, r <= K - p, and the rest,
+    its high part past the band included, is replaced by padding to n - big
+    + 1 entries, so that column r holds r in every row.  A padding entry
+    stands for a diagonal past K, so no slice reads it.  Swapping the two
+    sets maps size k to size n - k, so a size above n // 2 scores what size
+    n - k does.  The rows are dropped on return.
 
     One instance's scores are kept, those of the largest K asked since it
     was first filled: a call for any K up to that one, on an equal
@@ -303,11 +346,12 @@ def size_scores(ci: CompressedInstance, K: int) -> tuple[int, ...]:
     top = fill_tables(ci, K)
     big = ci.prefix[-2]
     m_last = ci.n - big
-    # The rows cut at diagonal K, of K - p + 1 < m_last + 1 entries, padded
-    # to whole rows; no padding entry lies on a diagonal up to K.
+    # Each row's entries past diagonal K, its high part included, replaced
+    # by padding to a whole row of m_last + 1 entries; no padding entry
+    # stands for a diagonal up to K.
     pad = [0] * m_last
-    for p in range(max(K - m_last + 1, 0), min(big - K, K + 1)):
-        top[p] += pad[K - p :]
+    for p, row in enumerate(top):
+        row[K - p + 1 :] = pad[K - p :]
     # Rows p <= K end to end: state (p, k - p) sits at k + p * m_last, so
     # size k's states are every m_last-th entry, p from lo to hi.
     flat = list(chain.from_iterable(top))

@@ -48,25 +48,27 @@ class TestFillLevel:
         # Instance {0,1,2}: collapsing to two locations 0 and 1, with two
         # extra copies sitting at 1.
         ci = ci_of(0, 1, 2)
-        values = fill_level(ci, 2, base_level(ci.n), ci.n // 2)
+        values = fill_level(ci, 2, base_level(ci.n, ci.n // 2), ci.n // 2)
         assert values[1][0] == 2
         assert values[0][2] == 2
 
     def test_base_level_zero(self):
-        assert base_level(3) == [[0, 0, 0, 0]]
+        assert base_level(3, 1) == [[0, 0, 0, 0]]
+        # r = 0..1, then r = 6..7: the band 2..5 is skipped.
+        assert base_level(7, 1) == [[0, 0, 0, 0]]
 
     def test_level3_values(self):
         # Level 2 transitions are forced; the first real choice is at level 3.
         ci = ci_of(0, 1, 2)
         K = ci.n // 2
-        values = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n), K), K)
+        values = fill_level(ci, 3, fill_level(ci, 2, base_level(ci.n, K), K), K)
         assert values[1][0] == 3
 
     @pytest.mark.parametrize("level", [1, 4], ids=["level-1", "level-l-plus-1"])
     def test_level_outside_range_refused(self, level):
         ci = ci_of(0, 1, 2)
         with pytest.raises(InternalInconsistency, match="level .* outside 2..3"):
-            fill_level(ci, level, base_level(ci.n), ci.n // 2)
+            fill_level(ci, level, base_level(ci.n, ci.n // 2), ci.n // 2)
 
     @pytest.mark.parametrize("reshape", [
         lambda prev: prev + [prev[-1]],
@@ -74,7 +76,7 @@ class TestFillLevel:
     ], ids=["one-row-too-many", "one-column-too-few"])
     def test_previous_table_of_wrong_shape_refused(self, reshape):
         ci = ci_of(0, 1, 2)
-        prev = fill_level(ci, 2, base_level(ci.n), ci.n // 2)
+        prev = fill_level(ci, 2, base_level(ci.n, ci.n // 2), ci.n // 2)
         with pytest.raises(InternalInconsistency, match="wrong shape"):
             fill_level(ci, 3, reshape(prev), ci.n // 2)
 
@@ -128,7 +130,7 @@ def mirror_of(ci):
 
 def scalar_tables(ci, objective, largest=False):
     """The scalar scan's value and choice tables of every level, level 1 first."""
-    tables, choices = [base_level(ci.n)], [None]
+    tables, choices = [base_level(ci.n, ci.n // 2)], [None]
     for level in range(2, ci.l + 1):
         values, r0s = scalar_fill_level(ci, level, tables[-1], objective, largest)
         tables.append(values)
@@ -191,12 +193,16 @@ def rows_kept(ci, level, K=None):
 
 def row_length(ci, level, p, K):
     """How many entries row p of ``fill_level``'s table at ``level`` holds
-    for the sizes up to K: r = 0..K - p, unless its mirror row big - p may
-    be kept (p >= big - K), which needs the whole row."""
-    big = ci.prefix[level - 1]
-    if p < big - K:
-        return min(ci.n - big, K - p) + 1
-    return ci.n - big + 1
+    for the sizes up to K: the low part r = 0..min(n - big, K - p), then,
+    when its mirror row big - p <= K may be kept and K < n // 2, the high
+    part r = n - K - p..n - big, K - (big - p) + 1 entries.  The band of
+    diagonals K + 1..n - K - 1 between them is never stored; at K = n // 2
+    it is empty, and every row is whole."""
+    n, big = ci.n, ci.prefix[level - 1]
+    if K == n // 2:
+        return n - big + 1
+    high = K - (big - p) + 1 if big - p <= K else 0
+    return min(n - big, K - p) + 1 + high
 
 
 def assert_consumed(prev, before):
@@ -215,7 +221,7 @@ def assert_matches_scalar_scan(ci):
     rows that the fill neither returns nor keeps.  At K = n // 2, the cap
     of max-cut and bisections, every row the fill returns is whole."""
     K = ci.n // 2
-    prev = scalar_prev = base_level(ci.n)
+    prev = scalar_prev = base_level(ci.n, K)
     for level in range(2, ci.l + 1):
         scalar_prev = scalar_fill_level(ci, level, scalar_prev, Objective.MAX)[0]
         prev = fill_level(ci, level, prev, K)
@@ -308,7 +314,7 @@ class TestRowWiseFill:
         # Swapping the sets maps state (p, r) to (big - p, rowlen - 1 - r).
         # The scan keeps every row; the fill keeps rows up to reach, so each
         # of its mirror rows q <= reach is checked against its source row.
-        table = scalar_table = base_level(ci.n)
+        table = scalar_table = base_level(ci.n, ci.n // 2)
         for level in range(2, ci.l + 1):
             table = fill_level(ci, level, table, ci.n // 2)
             scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
@@ -422,7 +428,7 @@ class TestRowWiseFill:
         # and sets the source rows below x_last = max(0, big // 2 - m_prev),
         # which its last row no longer reads, to None; it changes no other.
         ci = ci_of(*[7 * i for i, m in enumerate(mults) for _ in range(m)])
-        prev = base_level(ci.n)
+        prev = base_level(ci.n, ci.n // 2)
         released = cut = 0
         for level in range(2, ci.l + 1):
             big, m_prev = ci.prefix[level - 1], ci.mult[level - 2]
@@ -454,7 +460,7 @@ class TestRowWiseFill:
         xs = sorted(rng.sample(range(-(10**6), 10**6), len(mults)))
         ci = ci_of(*[x for x, m in zip(xs, mults) for _ in range(m)])
         assert ci.mult == tuple(mults)
-        table = scalar_table = base_level(n)
+        table = scalar_table = base_level(n, n // 2)
         for level in range(2, ci.l + 1):
             scalar_table, _ = scalar_fill_level(ci, level, scalar_table, Objective.MAX)
             table = fill_level(ci, level, table, n // 2)
@@ -470,7 +476,8 @@ class TestRowWiseFill:
     def test_row_fill_calls_no_max_or_min(self, builtin_calls, objective, reflected):
         # Rows are built by comparisons, never by a max()/min() per state:
         # two-entry windows (all-distinct input), windows within one block
-        # and windows across two alike, whole rows and rows cut at K alike.
+        # and windows across two alike, whole rows, rows cut at K and rows
+        # that skip the band alike.
         sign = -1 if reflected else 1
         for xs in (
             range(40),
@@ -597,6 +604,10 @@ class TestSizeCap:
     @given(capped_cis)
     @example(ci_of(*[0] * 9, *[1] * 9, *[2] * 9, 3))
     @example(ci_of(*range(40)))
+    # Level 3 has big = 13 <= 2K for K = 7..9: its rows p = 4..6 have a high
+    # part and four-entry windows that start inside a block, read through
+    # suf(x) and pre(y).
+    @example(ci_of(*[0] * 10, *[1] * 3, *[2] * 8))
     def test_scores_up_to_K_match_the_whole_fill(self, ci):
         n = ci.n
         top = scalar_tables(ci, Objective.MAX)[0][-1]
@@ -615,19 +626,44 @@ class TestSizeCap:
     @given(capped_cis)
     @example(ci_of(*[0] * 9, *[1] * 9, *[2] * 9, 3))
     def test_rows_stop_at_diagonal_K(self, ci):
-        # Each row the scan's, cut to diagonal K unless its mirror may be
-        # kept; at K = n // 2 every row is whole.
+        # Each row the scan's low part, r <= K - p, then its high part, r >=
+        # n - K - p: no entry on a diagonal of the band K + 1..n - K - 1.  At
+        # K = n // 2 every row is whole.
+        n = ci.n
         scalar = scalar_tables(ci, Objective.MAX)[0]
-        for K in range(ci.n // 2 + 1):
-            prev = base_level(ci.n)
+        for K in range(n // 2 + 1):
+            prev = base_level(n, K)
             for level in range(2, ci.l + 1):
                 prev = fill_level(ci, level, prev, K)
                 assert len(prev) == rows_kept(ci, level, K)
                 for p, row in enumerate(prev):
+                    scalar_row = scalar[level - 1][p]
+                    low = min(n - ci.prefix[level - 1], K - p) + 1
+                    high = max(low, n - K - p)
+                    assert row == scalar_row[:low] + scalar_row[high:]
                     assert len(row) == row_length(ci, level, p, K)
-                    assert row == scalar[level - 1][p][: len(row)]
-                if K == ci.n // 2:
-                    assert all(len(row) == ci.n - ci.prefix[level - 1] + 1 for row in prev)
+                    stored = [*range(low), *range(high, len(scalar_row))]
+                    assert not any(K < p + r < n - K for r in stored)
+                if K == n // 2:
+                    assert all(len(row) == n - ci.prefix[level - 1] + 1 for row in prev)
+
+    def test_band_is_never_filled(self):
+        # A count of table entries, not a timing: all-distinct n = 112, the
+        # computed rows p <= min(big // 2, K) of every level.  At K = 28 the
+        # rows skip the band of diagonals 29..83; at K = 56 it is empty and
+        # every row is whole.
+        ci = ci_of(*range(112))
+
+        def computed(K):
+            prev, total = base_level(ci.n, K), 0
+            for level in range(2, ci.l + 1):
+                prev = fill_level(ci, level, prev, K)
+                last = min(ci.prefix[level - 1] // 2, K)
+                total += sum(map(len, prev[: last + 1]))
+            return total
+
+        assert computed(28) == 41383
+        assert computed(56) == 124907
 
     def test_small_K_fills_a_twentieth_of_the_entries(self):
         # A count of table entries, not a timing: all-distinct n = 100,
@@ -635,7 +671,7 @@ class TestSizeCap:
         ci = ci_of(*range(100))
 
         def entries(K):
-            prev, total = base_level(ci.n), 0
+            prev, total = base_level(ci.n, K), 0
             for level in range(2, ci.l + 1):
                 prev = fill_level(ci, level, prev, K)
                 total += sum(map(len, prev))
@@ -967,6 +1003,15 @@ class TestFaultHook:
         assert window(3, big - 3, ci.mult[1]) == [0, 1, 2, 3]
         with pytest.raises(InternalInconsistency):
             solve(ci, ProblemSpec.max_partition(3))
+        # Max-partition k = 7 of n = 28 fills up to K = 7: every row of
+        # level 3 (big = 6) holds a high part past the band 8..20, and row
+        # 3 has a four-entry window.
+        ci = ci_of(*[0] * 3, *[1] * 3, *[2] * 3, *[3] * 19)
+        big = ci.prefix[2]
+        assert all(row_length(ci, 3, p, 7) > 7 - p + 1 for p in range(big // 2 + 1))
+        assert window(3, big - 3, ci.mult[1]) == [0, 1, 2, 3]
+        with pytest.raises(InternalInconsistency):
+            solve(ci, ProblemSpec.max_partition(7))
 
     def test_lowered_levels_reach_the_value_check(self, monkeypatch, fresh_scores):
         # Every level one lower: the fill runs to its end with a worse
